@@ -6,12 +6,13 @@
 //! is deliberately *not* part of `all`, which stays byte-identical to a
 //! pool-free build.
 //!
-//! With `--journal DIR`, the suite-based figures (fig12–fig16) checkpoint
-//! every completed (benchmark, design) job to `DIR/<figure>.jsonl` as it
-//! lands.  An interrupted run (SIGINT/SIGTERM, exit code 130) leaves those
-//! journals valid; re-running with `--resume` skips the completed jobs and
-//! produces byte-identical tables.  `--crash-after-jobs N` deterministically
-//! cancels the sweep after N fresh completions (CI crash-recovery smoke).
+//! With `--journal DIR`, the suite sweep checkpoints every completed
+//! (benchmark, design) job as it lands: `all` writes `DIR/all.jsonl`, and a
+//! single suite target (table7, fig12–fig16) writes `DIR/<target>.jsonl`.
+//! An interrupted run (SIGINT/SIGTERM, exit code 130) leaves the journal
+//! valid; re-running with `--resume` skips the completed jobs and produces
+//! byte-identical tables.  `--crash-after-jobs N` deterministically cancels
+//! the sweep after N fresh completions (CI crash-recovery smoke).
 //!
 //! Figures run their (benchmark × design) simulations on the `sim-exec`
 //! work-stealing pool; `--jobs N` bounds the pool (1 = serial) and the
@@ -49,11 +50,78 @@ use shm_bench::{
     try_run_suite_journaled, BenchRow, Executor,
 };
 use shm_telemetry::{Probe, TelemetryConfig};
+use shm_workloads::BenchmarkProfile;
 
 /// Every figure target, in `all` order (tables have no telemetry series).
 const FIGURES: &[&str] = &[
     "fig5", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 ];
+
+/// Designs each suite figure plots, in column order.
+const FIG12_DESIGNS: &[DesignPoint] = &[
+    DesignPoint::Naive,
+    DesignPoint::CommonCtr,
+    DesignPoint::Pssm,
+    DesignPoint::Shm,
+    DesignPoint::ShmUpperBound,
+];
+/// See [`FIG12_DESIGNS`].
+const FIG13_DESIGNS: &[DesignPoint] = &[
+    DesignPoint::Pssm,
+    DesignPoint::PssmCctr,
+    DesignPoint::ShmReadOnly,
+    DesignPoint::Shm,
+    DesignPoint::ShmCctr,
+];
+/// See [`FIG12_DESIGNS`].
+const FIG14_DESIGNS: &[DesignPoint] = &[
+    DesignPoint::Naive,
+    DesignPoint::CommonCtr,
+    DesignPoint::Pssm,
+    DesignPoint::ShmReadOnly,
+    DesignPoint::Shm,
+];
+/// See [`FIG12_DESIGNS`].
+const FIG15_DESIGNS: &[DesignPoint] = &[
+    DesignPoint::Naive,
+    DesignPoint::CommonCtr,
+    DesignPoint::Pssm,
+    DesignPoint::Shm,
+];
+/// See [`FIG12_DESIGNS`].
+const FIG16_DESIGNS: &[DesignPoint] = &[DesignPoint::Shm, DesignPoint::ShmVL2];
+
+/// A target rendered from one suite sweep alone: (name, designs, renderer).
+/// The sweep runs the designs plus the Baseline every row normalises
+/// against; renderers read designs from the rows by name, so rows holding
+/// more designs render the same text.
+type SuiteTarget = (
+    &'static str,
+    &'static [DesignPoint],
+    fn(&[BenchRow]) -> String,
+);
+
+/// Every suite-based target (Table VII needs only the Baseline).
+const SUITE_TARGETS: [SuiteTarget; 6] = [
+    ("table7", &[], table7),
+    ("fig12", FIG12_DESIGNS, fig12),
+    ("fig13", FIG13_DESIGNS, fig13),
+    ("fig14", FIG14_DESIGNS, fig14),
+    ("fig15", FIG15_DESIGNS, fig15),
+    ("fig16", FIG16_DESIGNS, fig16),
+];
+
+/// The Baseline plus every design a suite target plots, each once: the
+/// one sweep `all` renders all of them from.
+fn suite_union() -> Vec<DesignPoint> {
+    let mut union = vec![DesignPoint::Unprotected];
+    for &d in SUITE_TARGETS.iter().flat_map(|&(_, designs, _)| designs) {
+        if !union.contains(&d) {
+            union.push(d);
+        }
+    }
+    union
+}
 
 /// A repro failure carrying the process exit code and, when a telemetry
 /// capture was in flight, the probe whose flight recorder gets dumped.
@@ -368,40 +436,44 @@ fn render_target(
     jobs: Option<usize>,
     sctx: &SweepCtx,
 ) -> Result<Option<String>, FigError> {
+    if let Some(&(name, designs, render)) = SUITE_TARGETS.iter().find(|t| t.0 == what) {
+        return Ok(Some(render(&suite_rows(name, designs, scale, jobs, sctx)?)));
+    }
     Ok(Some(match what {
         "table1" => table1(),
         "table3_4" => table3_4(),
-        "table7" => table7(scale, jobs)?,
         "table9" => table9(),
         "fig5" => fig5(scale, jobs)?,
-        "fig10" => fig10(scale, jobs)?,
-        "fig11" => fig11(scale, jobs)?,
-        "fig12" => fig12(scale, jobs, sctx)?,
-        "fig13" => fig13(scale, jobs, sctx)?,
-        "fig14" => fig14(scale, jobs, sctx)?,
-        "fig15" => fig15(scale, jobs, sctx)?,
-        "fig16" => fig16(scale, jobs, sctx)?,
+        "fig10" => predictor_figures(scale, jobs)?.0,
+        "fig11" => predictor_figures(scale, jobs)?.1,
         "micro" => micro_diag(),
         "sensitivity" => sensitivity(scale),
         "hetero" => hetero(scale, jobs)?,
-        "all" => {
-            let mut out = String::new();
-            out.push_str(&table1());
-            out.push_str(&table9());
-            out.push_str(&table3_4());
-            out.push_str(&fig5(scale, jobs)?);
-            out.push_str(&table7(scale, jobs)?);
-            out.push_str(&fig10(scale, jobs)?);
-            out.push_str(&fig11(scale, jobs)?);
-            out.push_str(&fig12(scale, jobs, sctx)?);
-            out.push_str(&fig13(scale, jobs, sctx)?);
-            out.push_str(&fig14(scale, jobs, sctx)?);
-            out.push_str(&fig15(scale, jobs, sctx)?);
-            out.push_str(&fig16(scale, jobs, sctx)?);
-            out
-        }
+        "all" => render_all(scale, jobs, sctx)?,
         _ => return Ok(None),
     }))
+}
+
+/// `all`: every paper table and figure, with each (benchmark, design)
+/// simulation run once.  One suite sweep over [`suite_union`] feeds
+/// Table VII and Figs. 12–16; one detailed SHM pass feeds Figs. 10 and 11.
+fn render_all(scale: f64, jobs: Option<usize>, sctx: &SweepCtx) -> Result<String, FigError> {
+    let mut out = String::new();
+    out.push_str(&table1());
+    out.push_str(&table9());
+    out.push_str(&table3_4());
+    // Fig. 5 copies every trace's events; run after the suite sweep has
+    // fragmented the workers' heaps, that copy raised peak RSS by ~25 %.
+    out.push_str(&fig5(scale, jobs)?);
+    let rows = suite_rows("all", &suite_union(), scale, jobs, sctx)?;
+    let (fig10, fig11) = predictor_figures(scale, jobs)?;
+    out.push_str(&table7(&rows));
+    out.push_str(&fig10);
+    out.push_str(&fig11);
+    for render in [fig12, fig13, fig14, fig15, fig16] {
+        out.push_str(&render(&rows));
+    }
+    Ok(out)
 }
 
 /// Trace-scale grid every `bench` run covers (an explicit `--scale` adds a
@@ -837,7 +909,7 @@ fn table3_4() -> String {
 }
 
 /// Table VII: measured bandwidth utilisation and memory-space usage.
-fn table7(scale: f64, jobs: Option<usize>) -> Result<String, String> {
+fn table7(rows: &[BenchRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -849,36 +921,24 @@ fn table7(scale: f64, jobs: Option<usize>) -> Result<String, String> {
         "benchmark", "bw util", "l2 miss", "memory space"
     );
     let cfg = GpuConfig::default();
-    let profiles = scaled_suite(scale);
-    let lines = Executor::from_request(jobs)
-        .try_map(
-            &profiles,
-            |_, p| format!("table7 {}", p.name),
-            |_, p| {
-                let trace = p.generate(shm_bench::trace_seed(p.name));
-                let stats = Simulator::new(&cfg, DesignPoint::Unprotected).run(&trace);
-                let util = stats.bandwidth_utilization(
-                    cfg.partition_bytes_per_cycle() * cfg.num_partitions as f64,
-                );
-                let spaces = if p.uses_texture {
-                    "constant/texture"
-                } else {
-                    "constant"
-                };
-                format!(
-                    "{:<16}{:>11.1}%{:>11.1}%{:>18}\n",
-                    p.name,
-                    util * 100.0,
-                    stats.l2_miss_rate() * 100.0,
-                    spaces
-                )
-            },
-        )
-        .map_err(|e| format!("table7 sweep failed: {e}"))?;
-    for line in lines {
-        out.push_str(&line);
+    let peak_bytes_per_cycle = cfg.partition_bytes_per_cycle() * cfg.num_partitions as f64;
+    for row in rows {
+        let stats = &row.stats[DesignPoint::Unprotected.name()];
+        let spaces = if BenchmarkProfile::by_name(&row.name).is_some_and(|p| p.uses_texture) {
+            "constant/texture"
+        } else {
+            "constant"
+        };
+        let _ = writeln!(
+            out,
+            "{:<16}{:>11.1}%{:>11.1}%{:>18}",
+            row.name,
+            stats.bandwidth_utilization(peak_bytes_per_cycle) * 100.0,
+            stats.l2_miss_rate() * 100.0,
+            spaces
+        );
     }
-    Ok(out)
+    out
 }
 
 /// Fig. 5: fraction of accesses touching streaming and read-only data.
@@ -910,159 +970,123 @@ fn fig5(scale: f64, jobs: Option<usize>) -> Result<String, String> {
     ))
 }
 
-/// Fig. 10: read-only prediction breakdown.
-fn fig10(scale: f64, jobs: Option<usize>) -> Result<String, String> {
+/// Each of `counts` as a fraction of `total`.
+fn fractions(total: u64, counts: &[u64]) -> Vec<f64> {
+    let t = total.max(1) as f64;
+    counts.iter().map(|&c| c as f64 / t).collect()
+}
+
+/// Figs. 10 and 11 from one detailed SHM run per suite benchmark: the
+/// read-only and the streaming prediction breakdowns, each as fractions of
+/// all predictions.
+fn predictor_figures(scale: f64, jobs: Option<usize>) -> Result<(String, String), String> {
     let cfg = GpuConfig::default();
     let profiles = scaled_suite(scale);
-    let rows: Vec<(String, Vec<f64>)> = Executor::from_request(jobs)
+    let (read_only, streaming): (Vec<_>, Vec<_>) = Executor::from_request(jobs)
         .try_map(
             &profiles,
-            |_, p| format!("fig10 {}", p.name),
+            |_, p| format!("SHM predictors {}", p.name),
             |_, p| {
                 let trace = p.generate(shm_bench::trace_seed(p.name));
-                let (_, ro, _) = Simulator::new(&cfg, DesignPoint::Shm).run_detailed(&trace);
-                let t = ro.total().max(1) as f64;
+                let (_, ro, st) = Simulator::new(&cfg, DesignPoint::Shm).run_detailed(&trace);
+                let name = p.name.to_string();
                 (
-                    p.name.to_string(),
-                    vec![
-                        ro.correct as f64 / t,
-                        ro.mp_init as f64 / t,
-                        ro.mp_aliasing as f64 / t,
-                    ],
+                    (
+                        name.clone(),
+                        fractions(ro.total(), &[ro.correct, ro.mp_init, ro.mp_aliasing]),
+                    ),
+                    (
+                        name,
+                        fractions(
+                            st.total(),
+                            &[
+                                st.correct,
+                                st.mp_init,
+                                st.mp_runtime_read_only,
+                                st.mp_runtime_non_read_only,
+                                st.mp_aliasing,
+                            ],
+                        ),
+                    ),
                 )
             },
         )
-        .map_err(|e| format!("fig10 sweep failed: {e}"))?;
-    Ok(format_table(
-        "Fig. 10: read-only prediction breakdown",
-        &["correct", "mp_init", "mp_aliasing"],
-        &rows,
+        .map_err(|e| format!("SHM predictor sweep failed: {e}"))?
+        .into_iter()
+        .unzip();
+    Ok((
+        format_table(
+            "Fig. 10: read-only prediction breakdown",
+            &["correct", "mp_init", "mp_aliasing"],
+            &read_only,
+        ),
+        format_table(
+            "Fig. 11: streaming prediction breakdown",
+            &["correct", "mp_init", "mp_rt_ro", "mp_rt_nro", "mp_alias"],
+            &streaming,
+        ),
     ))
 }
 
-/// Fig. 11: streaming prediction breakdown.
-fn fig11(scale: f64, jobs: Option<usize>) -> Result<String, String> {
-    let cfg = GpuConfig::default();
-    let profiles = scaled_suite(scale);
-    let rows: Vec<(String, Vec<f64>)> = Executor::from_request(jobs)
-        .try_map(
-            &profiles,
-            |_, p| format!("fig11 {}", p.name),
-            |_, p| {
-                let trace = p.generate(shm_bench::trace_seed(p.name));
-                let (_, _, st) = Simulator::new(&cfg, DesignPoint::Shm).run_detailed(&trace);
-                let t = st.total().max(1) as f64;
-                (
-                    p.name.to_string(),
-                    vec![
-                        st.correct as f64 / t,
-                        st.mp_init as f64 / t,
-                        st.mp_runtime_read_only as f64 / t,
-                        st.mp_runtime_non_read_only as f64 / t,
-                        st.mp_aliasing as f64 / t,
-                    ],
-                )
-            },
-        )
-        .map_err(|e| format!("fig11 sweep failed: {e}"))?;
-    Ok(format_table(
-        "Fig. 11: streaming prediction breakdown",
-        &["correct", "mp_init", "mp_rt_ro", "mp_rt_nro", "mp_alias"],
-        &rows,
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn norm_ipc_table(
+/// One table row per benchmark: `metric` of every design in `designs`.
+fn design_table(
     title: &str,
-    figure: &str,
     designs: &[DesignPoint],
-    scale: f64,
-    jobs: Option<usize>,
-    sctx: &SweepCtx,
-) -> Result<String, FigError> {
+    rows: &[BenchRow],
+    metric: impl Fn(&BenchRow, DesignPoint) -> f64,
+) -> String {
     let header: Vec<&str> = designs.iter().map(|d| d.name()).collect();
-    let rows: Vec<(String, Vec<f64>)> = suite_rows(figure, designs, scale, jobs, sctx)?
+    let rows: Vec<(String, Vec<f64>)> = rows
         .iter()
         .map(|row| {
             (
                 row.name.clone(),
-                designs.iter().map(|d| row.norm_ipc(*d)).collect(),
+                designs.iter().map(|&d| metric(row, d)).collect(),
             )
         })
         .collect();
-    Ok(format_table(title, &header, &rows))
+    format_table(title, &header, &rows)
 }
 
 /// Fig. 12: normalized IPC of the main designs.
-fn fig12(scale: f64, jobs: Option<usize>, sctx: &SweepCtx) -> Result<String, FigError> {
-    norm_ipc_table(
+fn fig12(rows: &[BenchRow]) -> String {
+    design_table(
         "Fig. 12: normalized IPC",
-        "fig12",
-        &[
-            DesignPoint::Naive,
-            DesignPoint::CommonCtr,
-            DesignPoint::Pssm,
-            DesignPoint::Shm,
-            DesignPoint::ShmUpperBound,
-        ],
-        scale,
-        jobs,
-        sctx,
+        FIG12_DESIGNS,
+        rows,
+        BenchRow::norm_ipc,
     )
 }
 
 /// Fig. 13: optimisation breakdown.
-fn fig13(scale: f64, jobs: Option<usize>, sctx: &SweepCtx) -> Result<String, FigError> {
-    norm_ipc_table(
+fn fig13(rows: &[BenchRow]) -> String {
+    design_table(
         "Fig. 13: performance impact of each optimisation",
-        "fig13",
-        &[
-            DesignPoint::Pssm,
-            DesignPoint::PssmCctr,
-            DesignPoint::ShmReadOnly,
-            DesignPoint::Shm,
-            DesignPoint::ShmCctr,
-        ],
-        scale,
-        jobs,
-        sctx,
+        FIG13_DESIGNS,
+        rows,
+        BenchRow::norm_ipc,
     )
 }
 
 /// Fig. 14: bandwidth overheads of security metadata.
-fn fig14(scale: f64, jobs: Option<usize>, sctx: &SweepCtx) -> Result<String, FigError> {
-    let designs = [
-        DesignPoint::Naive,
-        DesignPoint::CommonCtr,
-        DesignPoint::Pssm,
-        DesignPoint::ShmReadOnly,
-        DesignPoint::Shm,
-    ];
-    let header: Vec<&str> = designs.iter().map(|d| d.name()).collect();
-    let mut breakdown_acc: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-    let suite_rows = suite_rows("fig14", &designs, scale, jobs, sctx)?;
-    let rows: Vec<(String, Vec<f64>)> = suite_rows
-        .iter()
-        .map(|row| {
-            for (di, d) in designs.iter().enumerate() {
-                for (label, v) in traffic_breakdown(&row.stats[d.name()]) {
-                    breakdown_acc
-                        .entry(label)
-                        .or_insert_with(|| vec![0.0; designs.len()])[di] += v;
-                }
-            }
-            (
-                row.name.clone(),
-                designs.iter().map(|d| row.bandwidth_overhead(*d)).collect(),
-            )
-        })
-        .collect();
-    let mut out = format_table(
+fn fig14(rows: &[BenchRow]) -> String {
+    let designs = FIG14_DESIGNS;
+    let mut out = design_table(
         "Fig. 14: bandwidth overhead (metadata bytes / data bytes)",
-        &header,
-        &rows,
+        designs,
+        rows,
+        BenchRow::bandwidth_overhead,
     );
+    let mut breakdown_acc: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+    for row in rows {
+        for (di, d) in designs.iter().enumerate() {
+            for (label, v) in traffic_breakdown(&row.stats[d.name()]) {
+                breakdown_acc
+                    .entry(label)
+                    .or_insert_with(|| vec![0.0; designs.len()])[di] += v;
+            }
+        }
+    }
     let _ = writeln!(
         out,
         "\nmean per-class breakdown (normalized to data bytes):"
@@ -1075,63 +1099,32 @@ fn fig14(scale: f64, jobs: Option<usize>, sctx: &SweepCtx) -> Result<String, Fig
         }
         let _ = writeln!(out);
     }
-    Ok(out)
+    out
 }
 
 /// Fig. 15: normalized energy per instruction.
-fn fig15(scale: f64, jobs: Option<usize>, sctx: &SweepCtx) -> Result<String, FigError> {
-    let designs = [
-        DesignPoint::Naive,
-        DesignPoint::CommonCtr,
-        DesignPoint::Pssm,
-        DesignPoint::Shm,
-    ];
+fn fig15(rows: &[BenchRow]) -> String {
     let model = EnergyModel::default();
-    let header: Vec<&str> = designs.iter().map(|d| d.name()).collect();
-    let rows: Vec<(String, Vec<f64>)> = suite_rows("fig15", &designs, scale, jobs, sctx)?
-        .iter()
-        .map(|row| {
-            (
-                row.name.clone(),
-                designs
-                    .iter()
-                    .map(|d| row.normalized_energy(*d, &model))
-                    .collect(),
-            )
-        })
-        .collect();
-    Ok(format_table(
+    design_table(
         "Fig. 15: normalized energy per instruction",
-        &header,
-        &rows,
-    ))
+        FIG15_DESIGNS,
+        rows,
+        |row, d| row.normalized_energy(d, &model),
+    )
 }
 
 /// Fig. 16: SHM vs SHM with the L2 victim cache.
-fn fig16(scale: f64, jobs: Option<usize>, sctx: &SweepCtx) -> Result<String, FigError> {
-    let designs = [DesignPoint::Shm, DesignPoint::ShmVL2];
-    let header: Vec<&str> = designs.iter().map(|d| d.name()).collect();
-    // One sweep feeds both the table and the mean-gain headline (the old
-    // implementation re-ran the whole suite for the second number).
-    let suite_rows = suite_rows("fig16", &designs, scale, jobs, sctx)?;
-    let rows: Vec<(String, Vec<f64>)> = suite_rows
-        .iter()
-        .map(|row| {
-            (
-                row.name.clone(),
-                designs.iter().map(|d| row.norm_ipc(*d)).collect(),
-            )
-        })
-        .collect();
-    let mut out = format_table(
+fn fig16(rows: &[BenchRow]) -> String {
+    let mut out = design_table(
         "Fig. 16: L2 as victim cache for security metadata",
-        &header,
-        &rows,
+        FIG16_DESIGNS,
+        rows,
+        BenchRow::norm_ipc,
     );
-    let gain: Vec<f64> = suite_rows
+    let gain: Vec<f64> = rows
         .iter()
         .map(|row| row.norm_ipc(DesignPoint::ShmVL2) - row.norm_ipc(DesignPoint::Shm))
         .collect();
     let _ = writeln!(out, "mean vL2 gain: {:+.4} normalized IPC", mean(&gain));
-    Ok(out)
+    out
 }

@@ -33,18 +33,21 @@ pub fn scaled_suite(scale: f64) -> Vec<BenchmarkProfile> {
         .collect()
 }
 
+/// 64-bit FNV-1a of `bytes`: the harness's one content hash (trace seeds,
+/// output digests).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 /// Deterministic per-benchmark trace seed: FNV-1a over the full name.
 ///
 /// The seed must depend on the *content* of the name, not just its length —
 /// an earlier `0xBEEF ^ name.len()` scheme gave every same-length pair of
 /// benchmarks (e.g. `bfs`/`nw`) identical traces.
 pub fn trace_seed(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a64(name.as_bytes())
 }
 
 /// Runs one benchmark under one design; seeds are fixed for determinism.
@@ -350,6 +353,13 @@ mod tests {
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-9);
         assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-9);
         assert_eq!(geomean(&[]), 0.0);
+    }
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -110,6 +110,7 @@ impl<K: Eq + Hash, T> ScratchPool<K, T> {
         if slot.len() < self.max_idle {
             slot.push(value);
         }
+        drop(idle);
     }
 }
 

@@ -28,6 +28,8 @@
 //! repeated jobs reuse their per-job working state (bank matrices, event
 //! buffers) instead of rebuilding it from the allocator every time.
 
+#![warn(clippy::significant_drop_tightening)]
+
 pub mod arena;
 
 use std::collections::{HashMap, VecDeque};
@@ -200,6 +202,28 @@ impl Default for Executor {
     }
 }
 
+/// The next job for worker `w`: the front of its own queue, else the tail
+/// of a neighbour's.  Jobs never enqueue new jobs, so `None` ("every queue
+/// empty") is a stable exit condition.
+///
+/// The own-queue guard is dropped before any neighbour is locked: holding
+/// it while stealing lets two idle workers each wait on the other's queue
+/// (an ABBA deadlock).
+fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
+    let own = queues[w]
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .pop_front();
+    own.or_else(|| {
+        (1..queues.len()).find_map(|d| {
+            queues[(w + d) % queues.len()]
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .pop_back()
+        })
+    })
+}
+
 impl Executor {
     /// An executor with exactly `jobs` workers (clamped to at least 1).
     pub fn new(jobs: usize) -> Self {
@@ -269,25 +293,9 @@ impl Executor {
                 for w in 0..workers {
                     let queues = &queues;
                     let run_one = &run_one;
-                    scope.spawn(move || loop {
-                        // Own queue first (front), then steal from the tail
-                        // of the other queues.  Jobs never enqueue new jobs,
-                        // so "every queue empty" is a stable exit condition.
-                        let next = queues[w]
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .pop_front()
-                            .or_else(|| {
-                                (1..workers).find_map(|d| {
-                                    queues[(w + d) % workers]
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .pop_back()
-                                })
-                            });
-                        match next {
-                            Some(i) => run_one(i),
-                            None => break,
+                    scope.spawn(move || {
+                        while let Some(i) = next_job(queues, w) {
+                            run_one(i);
                         }
                     });
                 }
@@ -359,19 +367,7 @@ impl Executor {
                         if token.is_cancelled() {
                             break;
                         }
-                        let next = queues[w]
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .pop_front()
-                            .or_else(|| {
-                                (1..workers).find_map(|d| {
-                                    queues[(w + d) % workers]
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .pop_back()
-                                })
-                            });
-                        match next {
+                        match next_job(queues, w) {
                             Some(i) => run_one(i),
                             None => break,
                         }
@@ -790,6 +786,34 @@ mod tests {
             let vals: Vec<u64> = out.into_iter().map(|r| r.expect("no panic")).collect();
             assert_eq!(vals, items.iter().map(|x| x * 2).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn idle_workers_stealing_from_each_other_do_not_deadlock() {
+        // Regression: a worker used to keep its own queue locked while it
+        // locked its neighbours' to steal, so two idle workers could each
+        // wait for the other's lock.  Many tiny jobs on an odd pool width
+        // make workers go idle together; the old code did not finish 5000
+        // rounds within a minute.  The watchdog turns a hang into a failure.
+        let (done, finished) = mpsc::channel();
+        let stress = std::thread::spawn(move || {
+            let items: Vec<u32> = (0..333).collect();
+            for _ in 0..5_000 {
+                assert_eq!(Executor::new(5).map(&items, |_, &x| x).len(), 333);
+                // Other tests trip the global cancel flag, so only the
+                // shape of the result is checked here.
+                let token = CancelToken::new();
+                let out = Executor::new(5).map_cancellable(&items, &token, |_, &x| x);
+                assert_eq!(out.len(), 333);
+            }
+            let _ = done.send(());
+        });
+        let outcome = finished.recv_timeout(Duration::from_secs(600));
+        assert!(
+            !matches!(outcome, Err(mpsc::RecvTimeoutError::Timeout)),
+            "work-stealing executor deadlocked"
+        );
+        stress.join().expect("stress loop panicked");
     }
 
     #[test]
