@@ -44,7 +44,6 @@ use std::time::Instant;
 use gpu_mem_sim::{DesignPoint, EnergyModel, Simulator};
 use gpu_types::{GpuConfig, ShmConfig};
 use shm::{required_mechanisms, DataProperty, OracleProfile};
-use shm_bench::dist::{try_run_suite_dist, try_run_suite_dist_journaled, DistSweepConfig};
 use shm_bench::{
     format_table, mean, scaled_suite, traffic_breakdown, try_run_suite_jobs,
     try_run_suite_journaled, BenchRow, Executor,
@@ -184,35 +183,6 @@ struct JournalCtx {
     crash_after_jobs: Option<usize>,
 }
 
-/// How the suite-based figures execute their sweeps: optionally through a
-/// journal (`--journal`), optionally on a worker cluster (`--dist`); the
-/// two compose (dist results land in the same journals local runs use).
-#[derive(Default)]
-struct SweepCtx {
-    jctx: Option<JournalCtx>,
-    dist: Option<DistSweepConfig>,
-}
-
-/// Prints the cluster accounting of a distributed sweep to stderr (stdout
-/// must stay byte-identical to a local run).
-fn report_dist(figure: &str, summary: &shm_bench::dist::DistSummary) {
-    if summary.degraded {
-        return; // the fallback path already warned
-    }
-    for w in &summary.workers {
-        eprintln!(
-            "{figure}: worker {}: {} job(s), {} B out, {} B in, {} reassigned",
-            w.id, w.jobs_done, w.bytes_sent, w.bytes_received, w.reassigned
-        );
-    }
-    if summary.reassignments > 0 {
-        eprintln!(
-            "{figure}: {} job(s) reassigned after worker loss",
-            summary.reassignments
-        );
-    }
-}
-
 /// How a figure rendering failed: a resumable interruption of a journaled
 /// sweep, or an ordinary failure.
 enum FigError {
@@ -234,15 +204,9 @@ fn suite_rows(
     designs: &[DesignPoint],
     scale: f64,
     jobs: Option<usize>,
-    sctx: &SweepCtx,
+    jctx: Option<&JournalCtx>,
 ) -> Result<Vec<BenchRow>, FigError> {
-    let Some(ctx) = &sctx.jctx else {
-        if let Some(cfg) = &sctx.dist {
-            let (rows, summary) = try_run_suite_dist(designs, scale, cfg)
-                .map_err(|e| FigError::Failed(format!("{figure} distributed sweep: {e}")))?;
-            report_dist(figure, &summary);
-            return Ok(rows);
-        }
+    let Some(ctx) = jctx else {
         return try_run_suite_jobs(designs, scale, jobs)
             .map_err(|e| FigError::Failed(format!("{figure} sweep failed: {e}")));
     };
@@ -253,18 +217,8 @@ fn suite_rows(
             ctx.dir
         )));
     }
-    let sweep = if let Some(cfg) = &sctx.dist {
-        let (sweep, summary) =
-            try_run_suite_dist_journaled(figure, designs, scale, cfg, dir, ctx.crash_after_jobs)
-                .map_err(|e| {
-                    FigError::Failed(format!("{figure} distributed journaled sweep: {e}"))
-                })?;
-        report_dist(figure, &summary);
-        sweep
-    } else {
-        try_run_suite_journaled(figure, designs, scale, jobs, dir, ctx.crash_after_jobs)
-            .map_err(|e| FigError::Failed(format!("{figure} journaled sweep failed: {e}")))?
-    };
+    let sweep = try_run_suite_journaled(figure, designs, scale, jobs, dir, ctx.crash_after_jobs)
+        .map_err(|e| FigError::Failed(format!("{figure} journaled sweep failed: {e}")))?;
     if sweep.reused > 0 {
         eprintln!(
             "{figure}: resumed from {}: {} job(s) reused, {} executed",
@@ -292,7 +246,6 @@ fn run(args: &[String]) -> Result<(), ReproError> {
     let mut journal_dir: Option<String> = None;
     let mut resume = false;
     let mut crash_after_jobs: Option<usize> = None;
-    let mut dist_bind: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -343,14 +296,6 @@ fn run(args: &[String]) -> Result<(), ReproError> {
                 }
                 i += 2;
             }
-            "--dist" => {
-                dist_bind = Some(
-                    args.get(i + 1)
-                        .cloned()
-                        .ok_or_else(|| ReproError::usage("--dist needs a bind address"))?,
-                );
-                i += 2;
-            }
             "--telemetry-dir" => {
                 telemetry_dir = Some(
                     args.get(i + 1)
@@ -378,19 +323,16 @@ fn run(args: &[String]) -> Result<(), ReproError> {
             "--resume/--crash-after-jobs require --journal DIR",
         ));
     }
-    let sctx = SweepCtx {
-        jctx: journal_dir.map(|dir| JournalCtx {
-            dir,
-            resume,
-            crash_after_jobs,
-        }),
-        dist: dist_bind.map(|bind| DistSweepConfig::from_env(&bind)),
-    };
+    let jctx = journal_dir.map(|dir| JournalCtx {
+        dir,
+        resume,
+        crash_after_jobs,
+    });
 
     if what == "bench" {
         bench_mode(scale_explicit.then_some(scale), jobs, &bench_out)?;
     } else {
-        match render_target(&what, scale, jobs, &sctx) {
+        match render_target(&what, scale, jobs, jctx.as_ref()) {
             Ok(Some(text)) => print!("{text}"),
             Ok(None) => return Err(ReproError::usage(format!("unknown target: {what}"))),
             Err(FigError::Interrupted { journal, done }) => {
@@ -434,10 +376,10 @@ fn render_target(
     what: &str,
     scale: f64,
     jobs: Option<usize>,
-    sctx: &SweepCtx,
+    jctx: Option<&JournalCtx>,
 ) -> Result<Option<String>, FigError> {
     if let Some(&(name, designs, render)) = SUITE_TARGETS.iter().find(|t| t.0 == what) {
-        return Ok(Some(render(&suite_rows(name, designs, scale, jobs, sctx)?)));
+        return Ok(Some(render(&suite_rows(name, designs, scale, jobs, jctx)?)));
     }
     Ok(Some(match what {
         "table1" => table1(),
@@ -449,7 +391,7 @@ fn render_target(
         "micro" => micro_diag(),
         "sensitivity" => sensitivity(scale),
         "hetero" => hetero(scale, jobs)?,
-        "all" => render_all(scale, jobs, sctx)?,
+        "all" => render_all(scale, jobs, jctx)?,
         _ => return Ok(None),
     }))
 }
@@ -457,7 +399,11 @@ fn render_target(
 /// `all`: every paper table and figure, with each (benchmark, design)
 /// simulation run once.  One suite sweep over [`suite_union`] feeds
 /// Table VII and Figs. 12–16; one detailed SHM pass feeds Figs. 10 and 11.
-fn render_all(scale: f64, jobs: Option<usize>, sctx: &SweepCtx) -> Result<String, FigError> {
+fn render_all(
+    scale: f64,
+    jobs: Option<usize>,
+    jctx: Option<&JournalCtx>,
+) -> Result<String, FigError> {
     let mut out = String::new();
     out.push_str(&table1());
     out.push_str(&table9());
@@ -465,7 +411,7 @@ fn render_all(scale: f64, jobs: Option<usize>, sctx: &SweepCtx) -> Result<String
     // Fig. 5 copies every trace's events; run after the suite sweep has
     // fragmented the workers' heaps, that copy raised peak RSS by ~25 %.
     out.push_str(&fig5(scale, jobs)?);
-    let rows = suite_rows("all", &suite_union(), scale, jobs, sctx)?;
+    let rows = suite_rows("all", &suite_union(), scale, jobs, jctx)?;
     let (fig10, fig11) = predictor_figures(scale, jobs)?;
     out.push_str(&table7(&rows));
     out.push_str(&fig10);
@@ -506,7 +452,7 @@ fn bench_mode(
     }
 
     let render_all = |scale: f64, jobs: usize| -> Result<String, ReproError> {
-        render_target("all", scale, Some(jobs), &SweepCtx::default())
+        render_target("all", scale, Some(jobs), None)
             .map_err(|e| match e {
                 FigError::Interrupted { journal, .. } => {
                     ReproError::interrupted(format!("bench sweep interrupted (journal {journal})"))

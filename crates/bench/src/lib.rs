@@ -17,8 +17,6 @@ use shm_recovery::{config_hash, map_journaled, JobJournal, SweepOptions};
 use shm_workloads::BenchmarkProfile;
 pub use sim_exec::{CancelToken, Executor, SweepError};
 
-pub mod chaos;
-pub mod dist;
 pub mod pool;
 
 /// Scale factor for event counts: 1.0 = full runs (repro binary),

@@ -7,14 +7,13 @@
 //! shm sweep -b kmeans [--events N] [--csv]      all designs on one benchmark
 //! shm sweep -b kmeans --journal s.jsonl --resume   checkpointed sweep
 //! shm crash --seed 7 --sweep                    power-cut recovery matrix
-//! shm chaos --schedule smoke --seed 7           cluster fault gauntlet
 //! shm trace gen -b lbm -o lbm.trace [--events N]
 //! shm trace info lbm.trace
 //! ```
 //!
 //! Exit codes: 0 success, 1 runtime failure, 2 usage, 3 broken integrity
-//! claim, 4 silent divergence in a chaos campaign, 130 interrupted
-//! (SIGINT/SIGTERM; journaled sweeps stay resumable).
+//! claim, 130 interrupted (SIGINT/SIGTERM; journaled sweeps stay
+//! resumable).
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -35,7 +34,6 @@ use sim_exec::{CancelToken, Executor};
 mod args;
 mod obs;
 mod report;
-mod serve_cmd;
 
 use args::{ArgError, Args};
 
@@ -76,18 +74,6 @@ impl CliError {
         Self {
             message: message.into(),
             code: 3,
-            probe: probe.clone(),
-        }
-    }
-
-    /// Chaos-campaign failure: at least one fault-injection scenario ended
-    /// in silent divergence — the cluster said "success" with wrong bytes
-    /// (exit code 4, distinct from integrity so scripts can tell a broken
-    /// distributed-robustness claim from a missed tamper).
-    fn chaos(message: impl Into<String>, probe: &Probe) -> Self {
-        Self {
-            message: message.into(),
-            code: 4,
             probe: probe.clone(),
         }
     }
@@ -175,12 +161,7 @@ fn dispatch(argv: &[String]) -> Result<(), CliError> {
         "attack" => cmd_attack(Args::parse(rest).map_err(stringify)?),
         "crash" => cmd_crash(Args::parse(rest).map_err(stringify)?),
         "sweep" => cmd_sweep(Args::parse(rest).map_err(stringify)?),
-        "worker" => cmd_worker(Args::parse(rest).map_err(stringify)?),
-        "serve" => serve_cmd::cmd_serve(Args::parse(rest).map_err(stringify)?),
-        "loadgen" => serve_cmd::cmd_loadgen(Args::parse(rest).map_err(stringify)?),
-        "chaos" => cmd_chaos(Args::parse(rest).map_err(stringify)?),
         "trace-report" => obs::cmd_trace_report(rest),
-        "top" => obs::cmd_top(&Args::parse(rest).map_err(stringify)?),
         "env" => {
             obs::cmd_env();
             Ok(())
@@ -244,26 +225,9 @@ fn print_help() {
          \x20        rows per policy plus migration/spill/link counters\n\
          \x20 sweep ... --journal <file> [--resume]  checkpoint results; SIGINT/SIGTERM\n\
          \x20        stops gracefully (exit 130) and --resume skips completed jobs\n\
-         \x20 sweep -b <bench> --dist HOST:PORT    run the sweep on a worker cluster\n\
-         \x20        (SHM_DIST_WORKERS=N spawns loopback workers; composes with --journal)\n\
          \x20 sweep ... --metrics-addr HOST:PORT [--metrics-hold-ms N]   live /metrics\n\
-         \x20        endpoint (Prometheus text); --dist adds [--heartbeat-timeout-ms N]\n\
-         \x20 worker --connect HOST:PORT [--jobs N] [--id NAME] [--heartbeat-ms N]\n\
-         \x20        [--reconnect-attempts N] [--metrics-addr HOST:PORT]   serve sweep jobs\n\
-         \x20 serve --listen HOST:PORT [--queue-depth N] [--deadline-ms N] [--drain-ms N]\n\
-         \x20        [--idle-ms N] [--max-tenants N] [--jobs N] [--journal-dir D]\n\
-         \x20        [--tokens FILE] [--metrics-addr HOST:PORT]   multi-tenant sweep\n\
-         \x20        daemon; --tokens gates hellos on a tenant:token table; SIGTERM\n\
-         \x20        drains gracefully (finish or cancel in-flight, flush journals, exit 0)\n\
-         \x20 loadgen --connect HOST:PORT [--tenants N] [--rps R] [--duration S]\n\
-         \x20        [--chaos-seed K] [-b BENCH] [--events N] [--deadline-ms N]\n\
-         \x20        [--token T] [--table-out FILE]  drive a serve daemon and verify no\n\
-         \x20        silent divergence from the serial reference; exit 4 on wrong bytes\n\
-         \x20 chaos [--schedule smoke|full] [--seed S] [--scale X] [--dir D]   fault-\n\
-         \x20        injection campaign on the cluster; exit 4 on silent divergence\n\
+         \x20        endpoint (Prometheus text)\n\
          \x20 trace-report <file.jsonl> [--top N]  span timeline from a telemetry trace\n\
-         \x20 top --connect HOST:PORT [--interval-ms N] [--iterations N] [--once]\n\
-         \x20        live cluster monitor over a /metrics endpoint\n\
          \x20 env                                  every SHM_* environment knob\n\
          \x20 attack --campaign smoke|full [--seed S] [--policy abort|retry|quarantine]\n\
          \x20        [--telemetry ...]            adversary campaign; exit 3 on any miss\n\
@@ -695,18 +659,12 @@ fn cmd_sweep(args: Args) -> Result<(), CliError> {
 
 fn cmd_sweep_inner(args: &Args) -> Result<(), CliError> {
     if let Some(policies) = parse_pools_list(args)? {
-        if args.get("dist").is_some() || args.get("journal").is_some() {
+        if args.get("journal").is_some() {
             return Err(CliError::usage(
-                "--pools does not compose with --dist/--journal yet",
+                "--pools does not compose with --journal yet",
             ));
         }
         return cmd_sweep_pools(args, &policies);
-    }
-    if let Some(bind) = args.get("dist") {
-        let bind = bind.to_string();
-        let stats = sweep_dist(args, &bind)?;
-        print_sweep_table(&stats, args.flag("csv"));
-        return Ok(());
     }
     let trace = load_trace(args)?;
     let probe = telemetry_probe(args)?;
@@ -724,8 +682,8 @@ fn cmd_sweep_inner(args: &Args) -> Result<(), CliError> {
                 "--resume/--crash-after-jobs require --journal <file>",
             ));
         }
-        // Per-job wall timings, recorded by the worker threads so the
-        // local path emits the same span tree a --dist sweep does.
+        // Per-job wall timings, recorded by the worker threads for the
+        // sweep's span tree.
         let sweep_started = Instant::now();
         let timings: std::sync::Mutex<Vec<(usize, u64, u64, u64)>> =
             std::sync::Mutex::new(Vec::new());
@@ -753,7 +711,7 @@ fn cmd_sweep_inner(args: &Args) -> Result<(), CliError> {
         }
         stats
     };
-    print_sweep_table(&stats, args.flag("csv"));
+    print!("{}", format_sweep_table(&stats, args.flag("csv")));
     finish_sweep_telemetry(args, &probe)?;
     Ok(())
 }
@@ -830,8 +788,7 @@ fn format_pool_sweep_tables(
 }
 
 /// Converts the local executor's per-job timings into the canonical span
-/// tree (`shm_telemetry::span::build_job_spans`), so `--jobs N` and
-/// `--dist` sweeps produce structurally identical traces.
+/// tree (`shm_telemetry::span::build_job_spans`).
 fn emit_local_sweep_spans(
     probe: &Probe,
     bench: &str,
@@ -882,15 +839,8 @@ fn finish_sweep_telemetry(args: &Args, probe: &Probe) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Prints the design table for one sweep; both the local and the
-/// distributed path end here so their stdout is byte-identical.
-fn print_sweep_table(stats: &[SimStats], csv: bool) {
-    print!("{}", format_sweep_table(stats, csv));
-}
-
-/// Renders the design table for one sweep.  Every consumer — local sweep,
-/// `--dist` sweep, and `shm loadgen --table-out` — goes through this one
-/// formatter so their tables are byte-identical by construction.
+/// Renders the design table for one sweep; the `--pools` tables reuse it
+/// per policy.
 fn format_sweep_table(stats: &[SimStats], csv: bool) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -937,379 +887,6 @@ fn format_sweep_table(stats: &[SimStats], csv: bool) -> String {
         }
     }
     out
-}
-
-/// `shm sweep --dist HOST:PORT`: runs the design sweep on a sim-dist worker
-/// cluster.  Requires a *named* benchmark — workers regenerate the trace
-/// from its (name, events, seed) triple, so stored traces and `--custom`
-/// profiles cannot be shipped over the wire.  Composes with
-/// `--journal`/`--resume` using the exact hash recipe of the local path, so
-/// a journal written locally resumes distributed and vice versa (entries
-/// gain a `worker` attribution when they come from the cluster).
-fn sweep_dist(args: &Args, bind: &str) -> Result<Vec<SimStats>, CliError> {
-    use shm_bench::dist::{run_dist_jobs, DistSweepConfig, SimJob};
-    use shm_recovery::JournalCodec;
-    use sim_dist::{DistError, DistJob};
-
-    if args.get("trace").is_some() || args.get("custom").is_some() {
-        return Err(CliError::usage(
-            "--dist needs a named benchmark (-b): workers regenerate the trace from its name",
-        ));
-    }
-    let bench = args
-        .get("b")
-        .or_else(|| args.get("benchmark"))
-        .ok_or_else(|| CliError::usage("need --benchmark/-b with --dist"))?
-        .to_string();
-    let mut profile = BenchmarkProfile::by_name(&bench)
-        .ok_or_else(|| CliError::usage(format!("unknown benchmark {bench:?}")))?;
-    if let Some(n) = args.get_u64("events")? {
-        profile.events_per_kernel = n;
-    }
-    let seed = args.get_u64("seed")?.unwrap_or(0xBEEF);
-    let probe = telemetry_probe(args)?;
-    let mut cfg = DistSweepConfig::from_env(bind);
-    if let Some(ms) = args.get_u64("heartbeat-timeout-ms")? {
-        cfg.opts.heartbeat_timeout_ms = ms.max(1);
-    }
-    let all = DesignPoint::ALL;
-
-    let all_jobs: Vec<DistJob> = all
-        .iter()
-        .map(|d| DistJob {
-            label: format!("{bench} under {}", d.name()),
-            payload: SimJob {
-                bench: bench.clone(),
-                events_per_kernel: profile.events_per_kernel,
-                seed,
-                design: d.name().to_string(),
-            }
-            .encode(),
-        })
-        .collect();
-
-    let mut journal = match args.get("journal") {
-        Some(path) => {
-            if !args.flag("resume") && Path::new(path).exists() {
-                return Err(CliError::usage(format!(
-                    "journal {path} already exists; pass --resume to continue it or remove it first"
-                )));
-            }
-            // Same hash parts as `sweep_journaled`: trace content (name +
-            // event count) plus the design list.
-            let trace = profile.generate(seed);
-            let mut parts: Vec<String> = vec![
-                trace.name.to_string(),
-                trace.all_events().count().to_string(),
-            ];
-            parts.extend(all.iter().map(|d| d.name().to_string()));
-            let part_refs: Vec<&str> = parts.iter().map(String::as_str).collect();
-            let journal = JobJournal::open(Path::new(path), config_hash(&part_refs))
-                .map_err(|e| CliError::runtime(format!("journal {path}: {e}"), &probe))?;
-            Some((journal, path.to_string()))
-        }
-        None => {
-            if args.flag("resume") || args.get("crash-after-jobs").is_some() {
-                return Err(CliError::usage(
-                    "--resume/--crash-after-jobs require --journal <file>",
-                ));
-            }
-            None
-        }
-    };
-
-    let mut results: Vec<Option<SimStats>> = Vec::with_capacity(all.len());
-    let mut missing: Vec<usize> = Vec::new();
-    for (i, job) in all_jobs.iter().enumerate() {
-        match journal
-            .as_ref()
-            .and_then(|(j, _)| j.get::<SimStats>(&job.label))
-        {
-            Some(s) => results.push(Some(s)),
-            None => {
-                missing.push(i);
-                results.push(None);
-            }
-        }
-    }
-    let reused = all.len() - missing.len();
-    if reused > 0 {
-        if let Some((_, path)) = &journal {
-            eprintln!(
-                "resumed from {path}: {reused} job(s) reused, {} to run",
-                missing.len()
-            );
-        }
-    }
-
-    if !missing.is_empty() {
-        let jobs: Vec<DistJob> = missing.iter().map(|&i| all_jobs[i].clone()).collect();
-        let labels: Vec<String> = jobs.iter().map(|j| j.label.clone()).collect();
-        let token = CancelToken::new();
-        let crash_after = args.get_u64("crash-after-jobs")?.map(|n| n as usize);
-        let mut appended = 0usize;
-        let mut io_error: Option<std::io::Error> = None;
-        let mut decoded: Vec<Option<SimStats>> = vec![None; missing.len()];
-        let report = run_dist_jobs(jobs, &cfg, &token, |j, worker, outcome| {
-            let Ok(payload) = outcome else { return };
-            let Some(stats) = SimStats::decode_journal(payload) else {
-                return;
-            };
-            if let Some((jr, _)) = journal.as_mut() {
-                if io_error.is_none() {
-                    match jr.record_with_worker(&labels[j], Some(worker), &stats) {
-                        Ok(()) => {
-                            appended += 1;
-                            if crash_after == Some(appended) {
-                                token.cancel();
-                            }
-                        }
-                        Err(e) => {
-                            io_error = Some(e);
-                            token.cancel();
-                        }
-                    }
-                }
-            }
-            decoded[j] = Some(stats);
-        });
-        match report {
-            Ok(rep) => {
-                if let Some(e) = io_error {
-                    return Err(CliError::runtime(format!("journal write: {e}"), &probe));
-                }
-                // Per-worker accounting: one flight-recorder event each
-                // (satisfies `--telemetry`) and a stderr line so plain runs
-                // see the cluster shape without touching stdout.
-                for w in &rep.workers {
-                    probe.emit(
-                        0,
-                        Event::DistWorker {
-                            worker: w.id.clone(),
-                            jobs: w.jobs_done,
-                            bytes_rx: w.bytes_received,
-                            bytes_tx: w.bytes_sent,
-                            reassigned: w.reassigned,
-                        },
-                    );
-                    eprintln!(
-                        "worker {}: {} job(s), {} B dispatched, {} B of results{}",
-                        w.id,
-                        w.jobs_done,
-                        w.bytes_sent,
-                        w.bytes_received,
-                        if w.reassigned > 0 {
-                            format!(", {} reassigned", w.reassigned)
-                        } else {
-                            String::new()
-                        }
-                    );
-                }
-                if rep.reassignments > 0 {
-                    eprintln!("{} job(s) reassigned after worker loss", rep.reassignments);
-                }
-                if probe.is_enabled() && !rep.timings.is_empty() {
-                    // Same span-tree recipe as the local path: root span +
-                    // one child per job, ids fixed by submission index.
-                    use shm_telemetry::span::JobSpanInput;
-                    let inputs: Vec<JobSpanInput> = rep
-                        .timings
-                        .iter()
-                        .map(|t| JobSpanInput {
-                            index: t.index,
-                            label: labels[t.index].clone(),
-                            worker: t.worker.clone(),
-                            dispatch_ms: t.dispatch_ms,
-                            end_ms: t.end_ms,
-                            run_ns: t.run_ns,
-                            cycles: decoded[t.index].as_ref().map_or(0, |s| s.cycles),
-                        })
-                        .collect();
-                    probe.emit_job_spans(rep.trace_id, &format!("sweep {bench}"), &inputs);
-                }
-                let mut failed: Vec<String> = Vec::new();
-                for (j, outcome) in rep.results.iter().enumerate() {
-                    match outcome {
-                        None => {}
-                        Some(Ok(_)) => {
-                            results[missing[j]] = decoded[j].take();
-                            if results[missing[j]].is_none() {
-                                failed.push(format!("{}: undecodable result payload", labels[j]));
-                            }
-                        }
-                        Some(Err(p)) => failed.push(format!("{}: {}", labels[j], p.message)),
-                    }
-                }
-                if !failed.is_empty() {
-                    return Err(CliError::runtime(
-                        format!("distributed sweep failed: {}", failed.join("; ")),
-                        &probe,
-                    ));
-                }
-            }
-            Err(DistError::NoWorkers) => {
-                // Degraded mode: nothing connected within the window, so the
-                // sweep runs on the local executor instead of failing.
-                eprintln!(
-                    "warning: no distributed worker reachable at {bind}; \
-                     running the sweep on the local executor"
-                );
-                let trace = profile.generate(seed);
-                let gpu = GpuConfig::default();
-                let designs: Vec<DesignPoint> = missing.iter().map(|&i| all[i]).collect();
-                let stats = Executor::from_request(parse_jobs(args)?)
-                    .try_map(
-                        &designs,
-                        |_, d| format!("{bench} under {}", d.name()),
-                        |_, &d| Simulator::new(&gpu, d).run(&trace),
-                    )
-                    .map_err(|e| CliError::runtime(format!("sweep failed: {e}"), &probe))?;
-                for (&i, s) in missing.iter().zip(stats) {
-                    if let Some((jr, path)) = journal.as_mut() {
-                        jr.record(&all_jobs[i].label, &s).map_err(|e| {
-                            CliError::runtime(format!("journal {path}: {e}"), &probe)
-                        })?;
-                    }
-                    results[i] = Some(s);
-                }
-            }
-            Err(e) => {
-                return Err(CliError::runtime(
-                    format!("distributed sweep failed: {e}"),
-                    &probe,
-                ))
-            }
-        }
-    }
-
-    if results.iter().any(Option::is_none) {
-        if let Some((jr, path)) = &journal {
-            eprintln!(
-                "interrupted: {} of {} job(s) completed and journaled in {path}",
-                jr.len(),
-                all.len()
-            );
-            for label in jr.completed_labels() {
-                eprintln!("  done {label}");
-            }
-            eprintln!("re-run with --resume to pick up where this left off");
-        }
-        return Err(CliError::interrupted("distributed sweep interrupted"));
-    }
-    if probe.is_enabled() {
-        // No simulator ran in this process, so close the telemetry document
-        // here — otherwise a `--trace-out` stream never gets its trailer.
-        probe.finalize(0);
-        if let Some(s) = probe.summary() {
-            println!("{s}");
-        }
-        if let Some(path) = args.get("trace-out") {
-            if let Some(e) = probe.stream_error() {
-                return Err(CliError::runtime(format!("write {path}: {e}"), &probe));
-            }
-            println!("telemetry trace streamed to {path}");
-        }
-        if let Some(path) = args.get("epoch-csv") {
-            probe
-                .write_epoch_csv(Path::new(path))
-                .map_err(|e| CliError::runtime(format!("write {path}: {e}"), &probe))?;
-            println!("epoch CSV written to {path}");
-        }
-    }
-    Ok(results.into_iter().flatten().collect())
-}
-
-/// `shm worker --connect HOST:PORT`: serve sweep jobs to a coordinator.
-/// Each dispatched job regenerates its trace locally and runs on this
-/// host's executor pool; the process keeps reconnecting (with backoff)
-/// until the coordinator shuts the cluster down.
-/// `shm chaos`: run the distributed sweep through the deterministic fault
-/// gauntlet (chaos proxy, byzantine workers, coordinator crash-resume) and
-/// verify every scenario ends in byte-identical merged tables or a clean
-/// labelled failure.  Any silent divergence exits with code 4.
-fn cmd_chaos(args: Args) -> Result<(), CliError> {
-    let schedule = args.get("schedule").unwrap_or("smoke").to_string();
-    if schedule != "smoke" && schedule != "full" {
-        return Err(CliError::usage(format!(
-            "unknown schedule {schedule:?} (want smoke|full)"
-        )));
-    }
-    let seed = args.get_u64("seed")?.unwrap_or(7);
-    let scale = match args.get("scale") {
-        Some(raw) => raw
-            .parse::<f64>()
-            .ok()
-            .filter(|s| *s > 0.0)
-            .ok_or_else(|| CliError::usage(format!("bad --scale {raw:?}")))?,
-        None => 0.02,
-    };
-    let dir = args
-        .get("dir")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::env::temp_dir().join(format!("shm-chaos-{}", std::process::id())));
-    let probe = telemetry_probe(&args)?;
-    let metrics = obs::MetricsGuard::from_args(&args)?;
-
-    eprintln!("chaos campaign: schedule={schedule} seed={seed} scale={scale}");
-    let report = shm_bench::chaos::run_chaos_campaign(&schedule, seed, scale, &dir)
-        .map_err(|e| CliError::runtime(format!("chaos campaign: {e}"), &probe))?;
-    metrics.finish();
-    print!("{}", report.render());
-    eprintln!(
-        "flight recorder: {}",
-        dir.join(format!("chaos_flight_{schedule}_{seed}.jsonl"))
-            .display()
-    );
-    let silent = report.silent_divergences();
-    if silent > 0 {
-        return Err(CliError::chaos(
-            format!(
-                "chaos campaign {schedule} (seed {seed}) found {silent} silent divergence(s) \
-                 across {} scenario(s)",
-                report.scenarios.len()
-            ),
-            &probe,
-        ));
-    }
-    Ok(())
-}
-
-fn cmd_worker(args: Args) -> Result<(), CliError> {
-    let addr = args
-        .get("connect")
-        .ok_or_else(|| CliError::usage("need --connect HOST:PORT"))?
-        .to_string();
-    let metrics = obs::MetricsGuard::from_args(&args)?;
-    // Heartbeat interval: flag beats SHM_HEARTBEAT_MS beats the default.
-    let mut opts = sim_dist::WorkerOptions::from_env();
-    opts.jobs = parse_jobs(&args)?;
-    if let Some(ms) = args.get_u64("heartbeat-ms")? {
-        opts.heartbeat_interval_ms = ms.max(10);
-    }
-    if let Some(id) = args.get("id") {
-        opts.worker_id = id.to_string();
-    }
-    // Reconnect persistence: flag beats SHM_RECONNECT_ATTEMPTS beats the
-    // default.
-    if let Some(n) = args.get_u64("reconnect-attempts")? {
-        opts.max_reconnect_attempts = n.min(u64::from(u32::MAX)) as u32;
-    }
-    eprintln!("worker {} connecting to {addr}", opts.worker_id);
-    let served = shm_bench::dist::serve_worker(&addr, opts);
-    metrics.finish();
-    match served {
-        Ok(s) => {
-            eprintln!(
-                "worker done: {} job(s), {} B received, {} B sent, {} reconnect(s)",
-                s.jobs_done, s.bytes_received, s.bytes_sent, s.reconnects
-            );
-            Ok(())
-        }
-        Err(e) => Err(CliError::runtime(
-            format!("worker: {e}"),
-            &Probe::disabled(),
-        )),
-    }
 }
 
 /// Runs the design sweep through a durable job journal: every completed

@@ -1,11 +1,9 @@
 //! Observability subcommands and helpers: the `/metrics` endpoint guard
-//! (`--metrics-addr`), `shm trace-report`, `shm top`, and `shm env`.
+//! (`--metrics-addr`), `shm trace-report`, and `shm env`.
 
-use std::collections::BTreeMap;
-use std::io::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use shm_metrics::{fetch_metrics, parse_exposition, MetricsServer, Sample};
+use shm_metrics::MetricsServer;
 use shm_telemetry::span::{SpanEvent, TraceReport};
 use shm_telemetry::Probe;
 
@@ -67,7 +65,7 @@ impl MetricsGuard {
 }
 
 /// `shm trace-report <file.jsonl> [--top N]`: reconstructs the span tree
-/// of each distributed trace in a telemetry JSONL document and prints its
+/// of each sweep trace in a telemetry JSONL document and prints its
 /// timeline — wall time, queue-wait vs run-time, critical path, and the
 /// top-N slowest jobs.
 pub fn cmd_trace_report(rest: &[String]) -> Result<(), CliError> {
@@ -107,132 +105,9 @@ pub fn cmd_trace_report(rest: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// One worker's live gauges, keyed off the coordinator's per-worker series.
-#[derive(Default)]
-struct WorkerRow {
-    in_flight: f64,
-    queued: f64,
-    completed: f64,
-    heartbeat_age_ms: f64,
-}
-
-fn scalar(samples: &[Sample], name: &str) -> Option<f64> {
-    samples
-        .iter()
-        .find(|s| s.name == name && s.labels.is_empty())
-        .map(|s| s.value)
-}
-
-fn worker_rows(samples: &[Sample]) -> BTreeMap<String, WorkerRow> {
-    let mut rows: BTreeMap<String, WorkerRow> = BTreeMap::new();
-    for s in samples {
-        let Some(worker) = s
-            .labels
-            .iter()
-            .find(|(k, _)| k == "worker")
-            .map(|(_, v)| v.clone())
-        else {
-            continue;
-        };
-        let row = rows.entry(worker).or_default();
-        match s.name.as_str() {
-            "shm_worker_in_flight" => row.in_flight = s.value,
-            "shm_worker_queued" => row.queued = s.value,
-            "shm_worker_completed" => row.completed = s.value,
-            "shm_worker_heartbeat_age_ms" => row.heartbeat_age_ms = s.value,
-            _ => {}
-        }
-    }
-    rows
-}
-
-fn render_top(samples: &[Sample], throughput: Option<f64>) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let completed = scalar(samples, "shm_jobs_completed_total").unwrap_or(0.0);
-    let total = scalar(samples, "shm_dist_jobs_total").unwrap_or(0.0);
-    let reassigned = scalar(samples, "shm_dist_reassignments_total").unwrap_or(0.0);
-    let retries = scalar(samples, "shm_dist_retries_total").unwrap_or(0.0);
-    let tx = scalar(samples, "shm_frame_tx_bytes_total").unwrap_or(0.0);
-    let rx = scalar(samples, "shm_frame_rx_bytes_total").unwrap_or(0.0);
-    let _ = writeln!(
-        out,
-        "sweep: {completed:.0}/{total:.0} jobs done  reassigned {reassigned:.0}  retries {retries:.0}"
-    );
-    let _ = writeln!(out, "wire:  {tx:.0} B out  {rx:.0} B in");
-    match throughput {
-        Some(jps) => {
-            let _ = writeln!(out, "rate:  {jps:.2} jobs/s");
-        }
-        None => {
-            let _ = writeln!(out, "rate:  (sampling)");
-        }
-    }
-    let rows = worker_rows(samples);
-    if !rows.is_empty() {
-        let _ = writeln!(
-            out,
-            "{:<16} {:>9} {:>7} {:>10} {:>9}",
-            "worker", "in-flight", "queued", "completed", "hb-age ms"
-        );
-        for (id, r) in &rows {
-            let _ = writeln!(
-                out,
-                "{:<16} {:>9.0} {:>7.0} {:>10.0} {:>9.0}",
-                id, r.in_flight, r.queued, r.completed, r.heartbeat_age_ms
-            );
-        }
-    }
-    out
-}
-
-/// `shm top --connect HOST:PORT`: a plain-text polling monitor over the
-/// coordinator's `/metrics` endpoint — job progress, wire traffic, job
-/// throughput and per-worker queue depth, redrawn every `--interval-ms`.
-pub fn cmd_top(args: &Args) -> Result<(), CliError> {
-    let addr = args
-        .get("connect")
-        .ok_or_else(|| CliError::usage("need --connect HOST:PORT"))?;
-    let interval = Duration::from_millis(args.get_u64("interval-ms")?.unwrap_or(1000).max(50));
-    let once = args.flag("once");
-    let iterations = args.get_u64("iterations")?;
-    let mut prev: Option<(f64, Instant)> = None;
-    let mut shown = 0u64;
-    loop {
-        let body = fetch_metrics(addr)
-            .map_err(|e| CliError::runtime(format!("fetch {addr}: {e}"), &Probe::disabled()))?;
-        let samples = parse_exposition(&body);
-        let now = Instant::now();
-        let completed = scalar(&samples, "shm_jobs_completed_total").unwrap_or(0.0);
-        let throughput = prev.map(|(last, at)| {
-            let dt = now.duration_since(at).as_secs_f64();
-            if dt > 0.0 {
-                (completed - last).max(0.0) / dt
-            } else {
-                0.0
-            }
-        });
-        prev = Some((completed, now));
-        let frame = render_top(&samples, throughput);
-        if !once {
-            // ANSI clear + home; plain prints compose with `watch`-less
-            // terminals and logs.
-            print!("\x1b[2J\x1b[H");
-        }
-        print!("{frame}");
-        let _ = std::io::stdout().flush();
-        shown += 1;
-        if once || iterations.is_some_and(|n| shown >= n) {
-            return Ok(());
-        }
-        std::thread::sleep(interval);
-    }
-}
-
 /// `shm env`: every `SHM_*` environment knob the toolchain reads, with its
-/// current value.  The same table lives in README.md — keep them in sync.
-/// The `SHM_SERVE_*` rows come straight from `sim_serve::ENV_KNOBS`, so
-/// the daemon cannot grow a knob this table misses.
+/// current value.  The same table lives in README.md; the
+/// `env_table_matches_sources_and_readme` test keeps the two in sync.
 pub fn cmd_env() {
     println!("{:<26} {:<12} meaning", "variable", "value");
     for (name, default, meaning) in env_knob_table() {
@@ -269,26 +144,6 @@ fn env_knob_table() -> Vec<(&'static str, &'static str, &'static str)> {
             "sweep-wide retry budget for robust sweeps",
         ),
         (
-            sim_dist::DIST_WORKERS_ENV,
-            "0",
-            "loopback workers a --dist sweep spawns in-process",
-        ),
-        (
-            sim_dist::HEARTBEAT_INTERVAL_ENV,
-            "500",
-            "worker liveness beacon period in ms",
-        ),
-        (
-            sim_dist::HEARTBEAT_TIMEOUT_ENV,
-            "5000",
-            "coordinator heartbeat miss window in ms",
-        ),
-        (
-            sim_dist::RECONNECT_ATTEMPTS_ENV,
-            "5",
-            "worker reconnect attempts before giving up (same as --reconnect-attempts)",
-        ),
-        (
             METRICS_ADDR_ENV,
             "unset",
             "HOST:PORT for the /metrics endpoint (same as --metrics-addr)",
@@ -299,7 +154,6 @@ fn env_knob_table() -> Vec<(&'static str, &'static str, &'static str)> {
             "AES backend: auto|aesni|ttable (auto = AES-NI when the CPU has it)",
         ),
     ];
-    knobs.extend(sim_serve::ENV_KNOBS.iter().copied());
     knobs.extend(shm_pool::ENV_KNOBS.iter().copied());
     knobs
 }
@@ -308,42 +162,27 @@ fn env_knob_table() -> Vec<(&'static str, &'static str, &'static str)> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn render_top_reads_worker_series() {
-        let body = "shm_jobs_completed_total 7\nshm_dist_jobs_total 12\n\
-                    shm_worker_in_flight{worker=\"w1\"} 2\n\
-                    shm_worker_queued{worker=\"w1\"} 3\n\
-                    shm_worker_completed{worker=\"w1\"} 7\n\
-                    shm_worker_heartbeat_age_ms{worker=\"w1\"} 41\n";
-        let samples = parse_exposition(body);
-        let frame = render_top(&samples, Some(3.5));
-        assert!(frame.contains("7/12 jobs done"), "frame:\n{frame}");
-        assert!(frame.contains("3.50 jobs/s"), "frame:\n{frame}");
-        assert!(frame.contains("w1"), "frame:\n{frame}");
-        assert!(frame.contains("41"), "frame:\n{frame}");
+    /// Adds every `<pat>SUFFIX` environment-knob literal in `src` to `found`.
+    fn scan_literals(src: &str, pat: &[u8], found: &mut std::collections::BTreeSet<String>) {
+        let bytes = src.as_bytes();
+        for i in 0..bytes.len().saturating_sub(pat.len()) {
+            if &bytes[i..i + pat.len()] == pat {
+                let mut end = i + pat.len();
+                while end < bytes.len() && (bytes[end].is_ascii_uppercase() || bytes[end] == b'_') {
+                    end += 1;
+                }
+                // A bare prefix (doc prose like "SHM_POOL_*", or this
+                // test's own pattern) is not a knob name.
+                if end > i + pat.len() {
+                    found.insert(src[i..end].to_string());
+                }
+            }
+        }
     }
 
     /// Collects every `<pat>SUFFIX` environment-knob literal from the `.rs`
     /// files under `dirs` (paths relative to this crate's manifest dir).
     fn scan_knob_literals(pat: &str, dirs: &[&str]) -> std::collections::BTreeSet<String> {
-        fn scan_literals(src: &str, pat: &[u8], found: &mut std::collections::BTreeSet<String>) {
-            let bytes = src.as_bytes();
-            for i in 0..bytes.len().saturating_sub(pat.len()) {
-                if &bytes[i..i + pat.len()] == pat {
-                    let mut end = i + pat.len();
-                    while end < bytes.len()
-                        && (bytes[end].is_ascii_uppercase() || bytes[end] == b'_')
-                    {
-                        end += 1;
-                    }
-                    // A bare prefix (doc prose like "SHM_SERVE_*", or this
-                    // test's own pattern) is not a knob name.
-                    if end > i + pat.len() {
-                        found.insert(src[i..end].to_string());
-                    }
-                }
-            }
-        }
         let mut found = std::collections::BTreeSet::new();
         for dir in dirs {
             let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
@@ -375,16 +214,7 @@ mod tests {
         }
     }
 
-    /// Every `SHM_SERVE_*` literal anywhere in the cli or sim-serve
-    /// sources must have a row in the `shm env` table — a daemon knob the
-    /// operator cannot discover is a support incident waiting to happen.
-    #[test]
-    fn every_serve_knob_is_in_the_env_table() {
-        let found = scan_knob_literals("SHM_SERVE_", &["src", "../sim-serve/src"]);
-        assert_knobs_in_table(&found, "SHM_SERVE_");
-    }
-
-    /// Same contract for the heterogeneous-pool knobs: every `SHM_POOL_*` /
+    /// Every heterogeneous-pool knob: every `SHM_POOL_*` /
     /// `SHM_LINK_*` literal in the cli or shm-pool sources needs an `shm
     /// env` row.
     #[test]
@@ -393,6 +223,117 @@ mod tests {
             let found = scan_knob_literals(pat, &["src", "../pool/src"]);
             assert_knobs_in_table(&found, pat);
         }
+    }
+
+    /// The `.rs` files under `dir`, recursively.
+    fn rust_sources(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("source dir readable") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                rust_sources(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+
+    /// Whether `line` passes `ident` (bare or path-qualified) as the sole
+    /// argument of an environment read: `var(..)`, `var_os(..)` or an
+    /// `env_*(..)` helper.
+    fn reads_env(line: &str, ident: &str) -> bool {
+        line.match_indices(ident).any(|(at, _)| {
+            if !line[at + ident.len()..].trim_start().starts_with(')') {
+                return false;
+            }
+            let before =
+                line[..at].trim_end_matches(|c: char| c.is_alphanumeric() || c == '_' || c == ':');
+            let Some(callee) = before.strip_suffix('(') else {
+                return false;
+            };
+            let callee = callee
+                .rsplit(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .next()
+                .unwrap_or("");
+            callee == "var" || callee == "var_os" || callee.starts_with("env_")
+        })
+    }
+
+    /// The `shm env` table, the workspace sources and the README knob table
+    /// name exactly the same `SHM_*` variables: no knob is read without a
+    /// row, no row outlives the code that read it, and the README lists
+    /// neither more nor fewer.
+    #[test]
+    fn env_table_matches_sources_and_readme() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = Vec::new();
+        for krate in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+            let src = krate.expect("dir entry").path().join("src");
+            if src.is_dir() {
+                rust_sources(&src, &mut files);
+            }
+        }
+        // Each file's non-test part: unit tests sit in a trailing
+        // `#[cfg(test)]` module.
+        let texts: Vec<String> = files
+            .iter()
+            .map(|f| std::fs::read_to_string(f).expect("source readable"))
+            .collect();
+        let non_test: Vec<&str> = texts
+            .iter()
+            .map(|t| t.split("#[cfg(test)]").next().unwrap_or(""))
+            .collect();
+
+        let table: std::collections::BTreeSet<String> = env_knob_table()
+            .iter()
+            .map(|(n, _, _)| (*n).to_string())
+            .collect();
+
+        let mut literals = std::collections::BTreeSet::new();
+        for text in &texts {
+            scan_literals(text, b"SHM_", &mut literals);
+        }
+        // A family prefix in prose (`SHM_POOL_*`) is not a knob name.
+        literals.retain(|name| !name.ends_with('_'));
+        for name in &literals {
+            assert!(
+                table.contains(name),
+                "{name} appears in the sources but has no `shm env` row"
+            );
+        }
+
+        for name in &table {
+            let quoted = format!("\"{name}\"");
+            // The constants that hold this name, e.g. `JOBS_ENV`.
+            let consts: Vec<&str> = non_test
+                .iter()
+                .flat_map(|t| t.lines())
+                .filter(|l| l.contains("const ") && l.contains(&quoted))
+                .filter_map(|l| l.split("const ").nth(1)?.split(':').next())
+                .map(str::trim)
+                .collect();
+            let read = non_test
+                .iter()
+                .flat_map(|t| t.lines())
+                .any(|l| reads_env(l, &quoted) || consts.iter().any(|c| reads_env(l, c)));
+            assert!(read, "`shm env` row {name} is read by no non-test source");
+        }
+
+        let readme = std::fs::read_to_string(root.join("README.md")).expect("README readable");
+        let section = readme
+            .split("## Environment knobs")
+            .nth(1)
+            .expect("README has an Environment knobs section");
+        let section = section.split("\n## ").next().unwrap_or(section);
+        let documented: std::collections::BTreeSet<String> = section
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `"))
+            .filter_map(|l| l.split('`').next())
+            .map(str::to_string)
+            .collect();
+        assert_eq!(
+            documented, table,
+            "README knob table and `shm env` must list the same variables"
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Live metrics for the SHM simulator and sweep cluster.
+//! Live metrics for the SHM simulator and its sweeps.
 //!
 //! Three pieces, all dependency-free:
 //!
@@ -20,7 +20,7 @@ mod registry;
 
 pub use http::{fetch_metrics, MetricsServer};
 pub use registry::{
-    enable, enabled, is_valid_label_name, is_valid_metric_name, labeled_counter, labeled_gauge,
-    parse_exposition, register_counter, register_gauge, register_histogram, render_prometheus,
-    set_enabled, Counter, Gauge, Histogram, Sample, HISTOGRAM_BUCKETS,
+    enable, enabled, is_valid_label_name, is_valid_metric_name, parse_exposition, register_counter,
+    register_gauge, register_histogram, render_prometheus, set_enabled, Counter, Gauge, Histogram,
+    Sample, HISTOGRAM_BUCKETS,
 };

@@ -132,6 +132,7 @@ impl Histogram {
     }
 }
 
+#[derive(Clone)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
@@ -148,16 +149,10 @@ impl Metric {
     }
 }
 
-struct Series {
-    labels: Vec<(String, String)>,
-    metric: Metric,
-}
-
 struct Family {
     name: &'static str,
     help: &'static str,
-    kind: &'static str,
-    series: Vec<Series>,
+    metric: Metric,
 }
 
 #[derive(Default)]
@@ -190,59 +185,30 @@ pub fn is_valid_label_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-fn register(
-    name: &'static str,
-    help: &'static str,
-    labels: &[(&str, &str)],
-    make: impl FnOnce() -> Metric,
-) -> Metric {
+fn register(name: &'static str, help: &'static str, make: impl FnOnce() -> Metric) -> Metric {
     assert!(is_valid_metric_name(name), "bad metric name: {name}");
-    for (k, _) in labels {
-        assert!(is_valid_label_name(k), "bad label name: {k}");
-    }
-    let labels: Vec<(String, String)> = labels
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
     let mut reg = registry().lock().unwrap();
     let metric = make();
-    let kind = metric.kind();
-    let family = match reg.families.iter_mut().find(|f| f.name == name) {
-        Some(f) => {
-            assert_eq!(f.kind, kind, "metric {name} re-registered as {kind}");
-            f
-        }
-        None => {
-            reg.families.push(Family {
-                name,
-                help,
-                kind,
-                series: Vec::new(),
-            });
-            reg.families.last_mut().unwrap()
-        }
-    };
-    if let Some(existing) = family.series.iter().find(|s| s.labels == labels) {
-        return match &existing.metric {
-            Metric::Counter(c) => Metric::Counter(c.clone()),
-            Metric::Gauge(g) => Metric::Gauge(g.clone()),
-            Metric::Histogram(h) => Metric::Histogram(h.clone()),
-        };
+    if let Some(f) = reg.families.iter().find(|f| f.name == name) {
+        let kind = metric.kind();
+        assert_eq!(
+            f.metric.kind(),
+            kind,
+            "metric {name} re-registered as {kind}"
+        );
+        return f.metric.clone();
     }
-    family.series.push(Series {
-        labels,
-        metric: match &metric {
-            Metric::Counter(c) => Metric::Counter(c.clone()),
-            Metric::Gauge(g) => Metric::Gauge(g.clone()),
-            Metric::Histogram(h) => Metric::Histogram(h.clone()),
-        },
+    reg.families.push(Family {
+        name,
+        help,
+        metric: metric.clone(),
     });
     metric
 }
 
 /// Registers (or fetches) the unlabeled counter `name`.
 pub fn register_counter(name: &'static str, help: &'static str) -> Arc<Counter> {
-    match register(name, help, &[], || Metric::Counter(Arc::default())) {
+    match register(name, help, || Metric::Counter(Arc::default())) {
         Metric::Counter(c) => c,
         _ => unreachable!(),
     }
@@ -250,7 +216,7 @@ pub fn register_counter(name: &'static str, help: &'static str) -> Arc<Counter> 
 
 /// Registers (or fetches) the unlabeled gauge `name`.
 pub fn register_gauge(name: &'static str, help: &'static str) -> Arc<Gauge> {
-    match register(name, help, &[], || Metric::Gauge(Arc::default())) {
+    match register(name, help, || Metric::Gauge(Arc::default())) {
         Metric::Gauge(g) => g,
         _ => unreachable!(),
     }
@@ -258,32 +224,8 @@ pub fn register_gauge(name: &'static str, help: &'static str) -> Arc<Gauge> {
 
 /// Registers (or fetches) the unlabeled histogram `name`.
 pub fn register_histogram(name: &'static str, help: &'static str) -> Arc<Histogram> {
-    match register(name, help, &[], || Metric::Histogram(Arc::default())) {
+    match register(name, help, || Metric::Histogram(Arc::default())) {
         Metric::Histogram(h) => h,
-        _ => unreachable!(),
-    }
-}
-
-/// Registers (or fetches) one labeled gauge series, e.g. per-worker state.
-pub fn labeled_gauge(
-    name: &'static str,
-    help: &'static str,
-    labels: &[(&str, &str)],
-) -> Arc<Gauge> {
-    match register(name, help, labels, || Metric::Gauge(Arc::default())) {
-        Metric::Gauge(g) => g,
-        _ => unreachable!(),
-    }
-}
-
-/// Registers (or fetches) one labeled counter series.
-pub fn labeled_counter(
-    name: &'static str,
-    help: &'static str,
-    labels: &[(&str, &str)],
-) -> Arc<Counter> {
-    match register(name, help, labels, || Metric::Counter(Arc::default())) {
-        Metric::Counter(c) => c,
         _ => unreachable!(),
     }
 }
@@ -322,93 +264,35 @@ fn escape_help(help: &str) -> String {
     help.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-fn escape_label_value(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-fn label_block(labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let body: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
-fn label_block_with_le(labels: &[(String, String)], le: &str) -> String {
-    let mut body: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect();
-    body.push(format!("le=\"{le}\""));
-    format!("{{{}}}", body.join(","))
-}
-
 /// Renders every registered family (plus any recorded profiler phases) in
 /// the Prometheus text exposition format 0.0.4.
 pub fn render_prometheus() -> String {
     let mut out = String::new();
     let reg = registry().lock().unwrap();
     for family in &reg.families {
-        let _ = writeln!(out, "# HELP {} {}", family.name, escape_help(family.help));
-        let _ = writeln!(out, "# TYPE {} {}", family.name, family.kind);
-        for series in &family.series {
-            match &series.metric {
-                Metric::Counter(c) => {
-                    let _ = writeln!(
-                        out,
-                        "{}{} {}",
-                        family.name,
-                        label_block(&series.labels),
-                        c.get()
-                    );
+        let name = family.name;
+        let _ = writeln!(out, "# HELP {name} {}", escape_help(family.help));
+        let _ = writeln!(out, "# TYPE {name} {}", family.metric.kind());
+        match &family.metric {
+            Metric::Counter(c) => {
+                let _ = writeln!(out, "{name} {}", c.get());
+            }
+            Metric::Gauge(g) => {
+                let _ = writeln!(out, "{name} {}", g.get());
+            }
+            Metric::Histogram(h) => {
+                let mut cumulative = 0u64;
+                for (i, c) in h.bucket_counts().iter().enumerate() {
+                    cumulative += c;
+                    let le = if i < HISTOGRAM_BUCKETS {
+                        Histogram::bucket_bound(i).to_string()
+                    } else {
+                        "+Inf".to_string()
+                    };
+                    let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
                 }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(
-                        out,
-                        "{}{} {}",
-                        family.name,
-                        label_block(&series.labels),
-                        g.get()
-                    );
-                }
-                Metric::Histogram(h) => {
-                    let counts = h.bucket_counts();
-                    let mut cumulative = 0u64;
-                    for (i, c) in counts.iter().enumerate() {
-                        cumulative += c;
-                        let le = if i < HISTOGRAM_BUCKETS {
-                            Histogram::bucket_bound(i).to_string()
-                        } else {
-                            "+Inf".to_string()
-                        };
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {}",
-                            family.name,
-                            label_block_with_le(&series.labels, &le),
-                            cumulative
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{}_sum{} {}",
-                        family.name,
-                        label_block(&series.labels),
-                        h.sum()
-                    );
-                    let _ = writeln!(
-                        out,
-                        "{}_count{} {}",
-                        family.name,
-                        label_block(&series.labels),
-                        cumulative
-                    );
-                }
+                let _ = writeln!(out, "{name}_sum {}", h.sum());
+                let _ = writeln!(out, "{name}_count {cumulative}");
             }
         }
     }
@@ -417,7 +301,7 @@ pub fn render_prometheus() -> String {
     out
 }
 
-/// One parsed exposition sample (for `shm top` and smoke assertions).
+/// One parsed exposition sample (for tests and smoke assertions).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     pub name: String,
@@ -568,19 +452,17 @@ mod tests {
     }
 
     #[test]
-    fn registration_is_idempotent_per_name_and_labels() {
+    fn registration_is_idempotent_per_name() {
         let _g = test_lock();
         set_enabled(true);
         let a = register_counter("shm_test_idem_total", "test");
         let b = register_counter("shm_test_idem_total", "test");
         a.inc();
         assert_eq!(b.get(), 1);
-        let g1 = labeled_gauge("shm_test_idem_gauge", "test", &[("worker", "w0")]);
-        let g2 = labeled_gauge("shm_test_idem_gauge", "test", &[("worker", "w0")]);
-        let g3 = labeled_gauge("shm_test_idem_gauge", "test", &[("worker", "w1")]);
+        let g1 = register_gauge("shm_test_idem_gauge", "test");
+        let g2 = register_gauge("shm_test_idem_gauge", "test");
         g1.set(9);
         assert_eq!(g2.get(), 9);
-        assert_eq!(g3.get(), 0);
         set_enabled(false);
     }
 
@@ -656,8 +538,10 @@ mod tests {
         set_enabled(true);
         let c = register_counter("shm_test_parse_total", "parse test");
         c.add(3);
-        let g = labeled_gauge("shm_test_parse_gauge", "parse test", &[("worker", "w-1")]);
+        let g = register_gauge("shm_test_parse_gauge", "parse test");
         g.set(42);
+        let h = register_histogram("shm_test_parse_hist", "parse test");
+        h.observe(3);
         let samples = parse_exposition(&render_prometheus());
         let c = samples
             .iter()
@@ -666,9 +550,14 @@ mod tests {
         assert!(c.value >= 3.0);
         let g = samples
             .iter()
-            .find(|s| s.name == "shm_test_parse_gauge" && s.label("worker") == Some("w-1"))
+            .find(|s| s.name == "shm_test_parse_gauge")
             .unwrap();
         assert_eq!(g.value, 42.0);
+        let inf = samples
+            .iter()
+            .find(|s| s.name == "shm_test_parse_hist_bucket" && s.label("le") == Some("+Inf"))
+            .unwrap();
+        assert_eq!(inf.value, 1.0);
         set_enabled(false);
     }
 }

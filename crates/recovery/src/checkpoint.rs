@@ -1,8 +1,8 @@
-//! Durable coordinator checkpoints for crash-resumable distributed sweeps.
+//! Durable coordinator checkpoints for crash-resumable sweeps.
 //!
-//! The distributed coordinator ([`sim_dist`]'s `run_with_events`) is the
-//! single point of failure in a cluster sweep: workers are stateless and
-//! reconnect, but if the coordinator process dies every in-flight and
+//! A coordinator that dispatches jobs to separate executors is the single
+//! point of failure of its sweep: executors are stateless and can be
+//! replaced, but if the coordinator process dies every in-flight and
 //! resolved job is lost with it.  [`CoordinatorCheckpoint`] closes that
 //! hole with the same discipline as [`crate::journal::JobJournal`]: an
 //! append-only JSONL file, a `ckpt_meta` guard line carrying a config

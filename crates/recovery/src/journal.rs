@@ -277,9 +277,6 @@ pub struct JobJournal {
     path: PathBuf,
     file: std::fs::File,
     completed: BTreeMap<String, String>,
-    /// Which worker produced each result (distributed sweeps only; local
-    /// sweeps record no attribution).
-    workers: BTreeMap<String, String>,
 }
 
 impl JobJournal {
@@ -304,7 +301,6 @@ impl JobJournal {
         };
 
         let mut completed = BTreeMap::new();
-        let mut workers = BTreeMap::new();
         let mut needs_meta = true;
         if let Some(doc) = &existing {
             let lines: Vec<&str> = doc.lines().collect();
@@ -328,10 +324,7 @@ impl JobJournal {
                     continue;
                 }
                 match parse_job(line) {
-                    Some((label, worker, payload)) => {
-                        if let Some(w) = worker {
-                            workers.insert(label.clone(), w);
-                        }
+                    Some((label, payload)) => {
                         completed.insert(label, payload);
                     }
                     None if is_last => {} // torn final record: drop it
@@ -357,7 +350,6 @@ impl JobJournal {
             path,
             file,
             completed,
-            workers,
         })
     }
 
@@ -399,33 +391,10 @@ impl JobJournal {
     ///
     /// Propagates file write/sync errors.
     pub fn record<T: JournalCodec>(&mut self, label: &str, value: &T) -> std::io::Result<()> {
-        self.record_with_worker(label, None, value)
-    }
-
-    /// [`JobJournal::record`], attributing the result to the distributed
-    /// worker that produced it.  The attribution is informational — resume
-    /// matches on labels only, so a journal written by a cluster resumes
-    /// fine locally and vice versa.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file write/sync errors.
-    pub fn record_with_worker<T: JournalCodec>(
-        &mut self,
-        label: &str,
-        worker: Option<&str>,
-        value: &T,
-    ) -> std::io::Result<()> {
         let mut line = String::with_capacity(128);
         line.push_str("{\"type\":\"job\",\"label\":\"");
         escape_into(label, &mut line);
-        line.push('"');
-        if let Some(w) = worker {
-            line.push_str(",\"worker\":\"");
-            escape_into(w, &mut line);
-            line.push('"');
-        }
-        line.push_str(",\"payload\":");
+        line.push_str("\",\"payload\":");
         let mut payload = String::new();
         value.encode_journal(&mut payload);
         line.push_str(&payload);
@@ -433,16 +402,7 @@ impl JobJournal {
         self.file.write_all(line.as_bytes())?;
         self.file.sync_data()?;
         self.completed.insert(label.to_string(), payload);
-        if let Some(w) = worker {
-            self.workers.insert(label.to_string(), w.to_string());
-        }
         Ok(())
-    }
-
-    /// Which worker produced the result for `label`, when the journal was
-    /// written by a distributed sweep.
-    pub fn worker_of(&self, label: &str) -> Option<&str> {
-        self.workers.get(label).map(String::as_str)
     }
 }
 
@@ -472,10 +432,10 @@ fn escaped_string_end(s: &str) -> Option<usize> {
     None
 }
 
-/// Parses a `job` line into `(label, worker, payload)`.  The `worker`
-/// field is optional — local sweeps never write it — so journals from
-/// before the distributed backend still parse.
-fn parse_job(line: &str) -> Option<(String, Option<String>, String)> {
+/// Parses a `job` line into `(label, payload)`.  An optional `worker`
+/// field after the label, written by older builds, is skipped so their
+/// journals still resume.
+fn parse_job(line: &str) -> Option<(String, String)> {
     let rest = line.strip_prefix("{\"type\":\"job\",\"label\":\"")?;
     if !line.ends_with('}') {
         return None;
@@ -483,15 +443,14 @@ fn parse_job(line: &str) -> Option<(String, Option<String>, String)> {
     let end = escaped_string_end(rest)?;
     let label = unescape(&rest[..end])?;
     let mut rest = rest[end..].strip_prefix('"')?;
-    let mut worker = None;
     if let Some(w) = rest.strip_prefix(",\"worker\":\"") {
         let wend = escaped_string_end(w)?;
-        worker = Some(unescape(&w[..wend])?);
+        unescape(&w[..wend])?;
         rest = w[wend..].strip_prefix('"')?;
     }
     let payload = rest.strip_prefix(",\"payload\":")?;
     let payload = payload.strip_suffix('}')?;
-    Some((label, worker, payload.to_string()))
+    Some((label, payload.to_string()))
 }
 
 /// Knobs for [`map_journaled`] beyond the journal itself.
@@ -861,24 +820,26 @@ mod tests {
     }
 
     #[test]
-    fn worker_attribution_roundtrips_and_stays_optional() {
+    fn worker_field_from_older_builds_still_resumes() {
         let path = tmp("worker-attr");
         let _ = std::fs::remove_file(&path);
         {
             let mut j = JobJournal::open(&path, 5).expect("create");
             j.record("local job", &stats(1)).expect("append");
-            j.record_with_worker("remote \"job\"", Some("node-a:2"), &stats(2))
-                .expect("append");
-            assert_eq!(j.worker_of("local job"), None);
-            assert_eq!(j.worker_of("remote \"job\""), Some("node-a:2"));
         }
-        // Attribution survives reopen and never disturbs result lookup.
+        // Older builds attributed each result to the worker that ran it.
+        let mut legacy = String::from("{\"type\":\"job\",\"label\":\"remote \\\"job\\\"\",\"worker\":\"node-a:2\",\"payload\":");
+        stats(2).encode_journal(&mut legacy);
+        legacy.push_str("}\n");
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .and_then(|mut f| f.write_all(legacy.as_bytes()))
+            .expect("append legacy line");
         let j = JobJournal::open(&path, 5).expect("reopen");
         assert_eq!(j.len(), 2);
         assert_eq!(j.get::<SimStats>("local job"), Some(stats(1)));
         assert_eq!(j.get::<SimStats>("remote \"job\""), Some(stats(2)));
-        assert_eq!(j.worker_of("local job"), None);
-        assert_eq!(j.worker_of("remote \"job\""), Some("node-a:2"));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -21,14 +21,11 @@
 //! appends each completion durably *as it finishes*, and drains in-flight
 //! jobs on cooperative cancellation — so `--resume` after SIGINT/SIGTERM
 //! or a kill re-runs only what is missing and reproduces byte-identical
-//! final tables.  The JSONL journal format is deliberately the seam a
-//! future distributed backend can speak.
+//! final tables.
 //!
-//! [`checkpoint`] extends layer 2 to the cluster: the distributed
-//! coordinator periodically checkpoints assignment/result state in the
-//! same JSONL-with-config-guard discipline, so a coordinator killed
-//! mid-sweep restarts, replays the checkpoint, re-dispatches only the
-//! unresolved jobs, and renders byte-identical merged tables.
+//! [`checkpoint`] keeps the same JSONL-with-config-guard discipline for a
+//! coordinator's assignment/result state.  It has no caller in the
+//! workspace since the distributed backend was removed.
 
 pub mod checkpoint;
 pub mod crash;

@@ -61,7 +61,7 @@ pub fn request_cancel() {
 }
 
 /// True once [`request_cancel`] has been called.
-pub fn cancel_requested() -> bool {
+fn cancel_requested() -> bool {
     GLOBAL_CANCEL.load(Ordering::SeqCst)
 }
 
@@ -169,7 +169,7 @@ fn warn_bad_jobs(source: &str, raw: &str) {
 /// Zero (from either source) means "auto"; an unparsable [`JOBS_ENV`]
 /// also means "auto", with a stderr warning rather than a panic or a
 /// silently serial run.
-pub fn effective_jobs(requested: Option<usize>) -> usize {
+fn effective_jobs(requested: Option<usize>) -> usize {
     let from_env = || match std::env::var(JOBS_ENV) {
         Err(_) => None,
         Ok(raw) => {
@@ -1054,11 +1054,18 @@ mod tests {
         let _guard = CANCEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let items: Vec<u64> = (0..64).collect();
         let token = CancelToken::new();
-        let started = AtomicUsize::new(0);
-        let out = Executor::new(4).map_cancellable(&items, &token, |i, &x| {
-            started.fetch_add(1, Ordering::SeqCst);
-            if i == 0 {
-                token.cancel();
+        // The first job to start cancels, under the lock that counts starts:
+        // every later start was already pulled by its worker when the token
+        // tripped, so at most one job per worker runs, whatever the
+        // scheduling.
+        let started = Mutex::new(0usize);
+        let out = Executor::new(4).map_cancellable(&items, &token, |_, &x| {
+            {
+                let mut n = started.lock().unwrap_or_else(|e| e.into_inner());
+                if *n == 0 {
+                    token.cancel();
+                }
+                *n += 1;
             }
             std::thread::yield_now();
             x
@@ -1066,7 +1073,7 @@ mod tests {
         let ran = out.iter().filter(|o| o.is_some()).count();
         // Every slot that ran holds a complete result (drained, not torn),
         // and cancellation kept at least some of the 64 jobs from starting.
-        assert_eq!(ran, started.load(Ordering::SeqCst));
+        assert_eq!(ran, *started.lock().unwrap_or_else(|e| e.into_inner()));
         assert!(ran >= 1);
         assert!(ran < items.len(), "cancel had no effect");
         for (o, &x) in out.iter().zip(&items) {

@@ -39,19 +39,10 @@ pub enum Event {
         kind: &'static str,
         action: &'static str,
     },
-    /// One distributed sweep worker's end-of-sweep accounting (jobs run,
-    /// wire bytes each way, jobs reassigned away after it was lost).
-    DistWorker {
-        worker: String,
-        jobs: u64,
-        bytes_rx: u64,
-        bytes_tx: u64,
-        reassigned: u64,
-    },
 }
 
 /// Total number of distinct event kinds.
-pub const NUM_KINDS: usize = 11;
+pub const NUM_KINDS: usize = 10;
 
 impl Event {
     /// Stable snake_case kind tag used in JSONL output and summaries.
@@ -67,7 +58,6 @@ impl Event {
             Event::DetectorTransition { .. } => "detector_transition",
             Event::MispredictFixup { .. } => "mispredict_fixup",
             Event::IntegrityViolation { .. } => "integrity_violation",
-            Event::DistWorker { .. } => "dist_worker",
         }
     }
 
@@ -84,7 +74,6 @@ impl Event {
             Event::DetectorTransition { .. } => 7,
             Event::MispredictFixup { .. } => 8,
             Event::IntegrityViolation { .. } => 9,
-            Event::DistWorker { .. } => 10,
         }
     }
 
@@ -101,7 +90,6 @@ impl Event {
             "detector_transition",
             "mispredict_fixup",
             "integrity_violation",
-            "dist_worker",
         ][index]
     }
 
@@ -113,7 +101,6 @@ impl Event {
                 | Event::KernelEnd { .. }
                 | Event::DetectorTransition { .. }
                 | Event::IntegrityViolation { .. }
-                | Event::DistWorker { .. }
         )
     }
 
@@ -167,19 +154,6 @@ impl Event {
                 let _ = write!(
                     out,
                     ",\"addr\":{addr},\"violation\":\"{kind}\",\"action\":\"{action}\""
-                );
-            }
-            Event::DistWorker {
-                worker,
-                jobs,
-                bytes_rx,
-                bytes_tx,
-                reassigned,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"worker\":\"{}\",\"jobs\":{jobs},\"bytes_rx\":{bytes_rx},\"bytes_tx\":{bytes_tx},\"reassigned\":{reassigned}",
-                    json_escape(worker)
                 );
             }
         }
@@ -242,13 +216,6 @@ mod tests {
                 addr: 0,
                 kind: "block_mac_mismatch",
                 action: "abort",
-            },
-            Event::DistWorker {
-                worker: "w".into(),
-                jobs: 0,
-                bytes_rx: 0,
-                bytes_tx: 0,
-                reassigned: 0,
             },
         ];
         assert_eq!(events.len(), NUM_KINDS);

@@ -30,8 +30,9 @@ telemetry out="run.jsonl":
 
 # Timed multi-point repro throughput trajectory (see docs/PERFORMANCE.md).
 # Covers scales {0.05, 0.25, scale} × jobs {1, N}, verifies every parallel
-# point is byte-identical to its serial reference, and records the whole
-# trajectory in BENCH_throughput.json.
+# point is byte-identical to its serial reference, and writes the trajectory
+# to BENCH_throughput.json, an uncommitted artifact. Paired before/after
+# numbers come from the repository benchmark (BENCHMARK.json, perfbench/).
 bench-repro scale="0.25":
     cargo run --release -p shm-bench --bin repro -- bench --scale {{scale}}
 
@@ -63,27 +64,12 @@ recovery-smoke scale="0.25":
     diff /tmp/shm_recovery_golden.txt /tmp/shm_recovery_resumed.txt
     rm -rf /tmp/shm_recovery_j /tmp/shm_recovery_golden.txt /tmp/shm_recovery_resumed.txt
 
-# Observability smoke: live /metrics during a loopback dist sweep must serve
-# the key series (per-worker gauges included), the sweep table must stay
-# byte-identical to a metrics-off serial run, and trace-report + the phase
-# profiler must render (see docs/OBSERVABILITY.md).
+# Observability smoke: live /metrics during a parallel local sweep must serve
+# the key series, the sweep table must stay byte-identical to a metrics-off
+# serial run, and trace-report + the phase profiler must render (see
+# docs/OBSERVABILITY.md).
 obs-smoke:
     bash scripts/obs_smoke.sh
-
-# Chaos smoke: the seeded cluster fault gauntlet (network faults, byzantine
-# workers, coordinator crash-resume) must end every scenario byte-identical
-# or loudly labelled — never silent (exit 4 — docs/ROBUSTNESS.md).
-chaos-smoke seed="7" scale="0.02":
-    cargo run --release -p shm-cli -- chaos --schedule smoke --seed {{seed}} --scale {{scale}} | tee /tmp/shm_chaos_smoke.txt
-    ! grep -q 'silent:true' /tmp/shm_chaos_smoke.txt
-    rm -f /tmp/shm_chaos_smoke.txt
-
-# Service smoke: `shm serve` must survive a chaos-seeded multi-tenant loadgen
-# run with zero silent divergence, reproduce the one-shot sweep table
-# byte-for-byte through the service path, and drain cleanly on SIGTERM
-# (exit 0 — docs/SERVICE.md).
-serve-smoke:
-    bash scripts/serve_smoke.sh
 
 # Heterogeneous-pool smoke: a capacity-pressured sweep across all three
 # placement policies must show the policy signatures (pressure under
@@ -93,11 +79,3 @@ serve-smoke:
 # (exit 3 — docs/HETERO.md).
 hetero-smoke:
     bash scripts/hetero_smoke.sh
-
-# Distributed-sweep smoke: a loopback coordinator + 2 worker cluster must
-# render fig16 byte-identical to the serial run (see docs/DISTRIBUTED.md).
-dist-smoke scale="0.25":
-    cargo run --release -p shm-bench --bin repro -- fig16 --scale {{scale}} --jobs 1 > /tmp/shm_dist_serial.txt
-    SHM_DIST_WORKERS=2 cargo run --release -p shm-bench --bin repro -- fig16 --scale {{scale}} --dist 127.0.0.1:0 > /tmp/shm_dist_cluster.txt
-    diff /tmp/shm_dist_serial.txt /tmp/shm_dist_cluster.txt
-    rm -f /tmp/shm_dist_serial.txt /tmp/shm_dist_cluster.txt

@@ -1,16 +1,13 @@
 //! Observability must be a pure overlay: metrics, spans and the phase
-//! profiler may never change simulation results, and the span tree a
-//! distributed sweep produces must be structurally identical to the one
-//! the local executor emits for the same job list.
+//! profiler may never change simulation results, and the span tree of a
+//! local sweep must reconcile with the sweep's own stats.
 
 use std::sync::Mutex;
 
 use gpu_mem_sim::DesignPoint;
-use shm_bench::dist::{try_run_suite_dist, DistSweepConfig};
 use shm_bench::{scaled_suite, try_run_suite_jobs};
 use shm_telemetry::span::{build_job_spans, job_span_id, JobSpanInput, TraceReport, ROOT_SPAN_ID};
 use shm_workloads::BenchmarkProfile;
-use sim_dist::{DistOptions, WorkerOptions};
 
 const DESIGNS: &[DesignPoint] = &[DesignPoint::Pssm, DesignPoint::Shm];
 const SCALE: f64 = 0.02;
@@ -19,20 +16,6 @@ const SCALE: f64 = 0.02;
 /// every test in this binary serializes on this lock and restores the
 /// global state it touched.
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
-
-fn loopback_cfg(self_workers: usize) -> DistSweepConfig {
-    DistSweepConfig {
-        bind: "127.0.0.1:0".into(),
-        self_workers,
-        opts: DistOptions {
-            connect_wait_ms: 5_000,
-            heartbeat_timeout_ms: 2_000,
-            read_timeout_ms: 20,
-            retry_budget: 16,
-            ..DistOptions::default()
-        },
-    }
-}
 
 /// The suite sweep's `(profile, design)` job list in submission order:
 /// baseline first, then each requested design, per profile.
@@ -144,20 +127,12 @@ fn profiler_phases_cover_the_simulation() {
 }
 
 #[test]
-fn dist_and_local_span_trees_have_identical_shape() {
+fn local_span_tree_reconciles_with_sweep_stats() {
     let _lock = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
     shm_metrics::set_enabled(false);
     let (profiles, pairs) = sweep_pairs();
     let labels = sweep_labels();
-
-    let (rows, summary) = try_run_suite_dist(DESIGNS, SCALE, &loopback_cfg(2)).expect("dist sweep");
-    assert!(!summary.degraded);
-    assert_ne!(summary.trace_id, 0, "coordinator mints a trace id");
-    assert_eq!(
-        summary.timings.len(),
-        labels.len(),
-        "every job reports a timing"
-    );
+    let rows = try_run_suite_jobs(DESIGNS, SCALE, Some(1)).expect("local sweep");
 
     let cycles_of = |index: usize| -> u64 {
         let (p, d) = pairs[index];
@@ -165,25 +140,7 @@ fn dist_and_local_span_trees_have_identical_shape() {
             .find(|r| r.name == profiles[p].name)
             .map_or(0, |r| r.stats[d.name()].cycles)
     };
-
-    // Dist spans: coordinator-observed timings, cycles joined from rows.
-    let dist_inputs: Vec<JobSpanInput> = summary
-        .timings
-        .iter()
-        .map(|t| JobSpanInput {
-            index: t.index,
-            label: labels[t.index].clone(),
-            worker: t.worker.clone(),
-            dispatch_ms: t.dispatch_ms,
-            end_ms: t.end_ms,
-            run_ns: t.run_ns,
-            cycles: cycles_of(t.index),
-        })
-        .collect();
-    let dist_spans = build_job_spans(summary.trace_id, "sweep suite", &dist_inputs);
-
-    // Local spans: same job list, synthetic local timings.
-    let local_inputs: Vec<JobSpanInput> = labels
+    let inputs: Vec<JobSpanInput> = labels
         .iter()
         .enumerate()
         .map(|(i, label)| JobSpanInput {
@@ -196,91 +153,25 @@ fn dist_and_local_span_trees_have_identical_shape() {
             cycles: cycles_of(i),
         })
         .collect();
-    let local_spans = build_job_spans(0xB0B0_1235, "sweep suite", &local_inputs);
+    let spans = build_job_spans(0xB0B0_1235, "sweep suite", &inputs);
 
-    // Identical tree shape: same span ids, same parents, same labels, in
-    // the same submission order — regardless of which backend ran the jobs.
-    assert_eq!(dist_spans.len(), local_spans.len());
-    for (d, l) in dist_spans.iter().zip(&local_spans) {
-        assert_eq!(d.span_id, l.span_id);
-        assert_eq!(d.parent, l.parent);
-        assert_eq!(d.label, l.label);
-    }
-    assert_eq!(dist_spans[0].span_id, ROOT_SPAN_ID);
-    for (i, s) in dist_spans[1..].iter().enumerate() {
+    assert_eq!(spans[0].span_id, ROOT_SPAN_ID);
+    assert_eq!(spans.len(), labels.len() + 1);
+    for (i, s) in spans[1..].iter().enumerate() {
         assert_eq!(s.span_id, job_span_id(i));
         assert_eq!(s.parent, Some(ROOT_SPAN_ID));
+        assert_eq!(s.label, labels[i]);
     }
 
     // Per-job cycle totals reconcile with the sweep's own stats.
-    let report = TraceReport::from_spans(dist_spans).remove(0);
+    let report = TraceReport::from_spans(spans).remove(0);
     assert!(report.check_invariants().is_empty());
-    let stats_cycles: u64 = (0..pairs.len()).map(cycles_of).sum();
+    let stats_cycles: u64 = rows
+        .iter()
+        .flat_map(|r| r.stats.values())
+        .map(|s| s.cycles)
+        .sum();
     assert!(stats_cycles > 0);
     assert_eq!(report.total_cycles(), stats_cycles);
     assert_eq!(report.jobs.len(), labels.len());
-}
-
-#[test]
-fn coordinator_serves_live_metrics_during_dist_sweep() {
-    let _lock = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
-    shm_metrics::set_enabled(true);
-    let server = shm_metrics::MetricsServer::bind("127.0.0.1:0").expect("bind /metrics");
-    let addr = server.local_addr().to_string();
-
-    let (_, summary) = try_run_suite_dist(DESIGNS, SCALE, &loopback_cfg(2)).expect("dist sweep");
-    assert!(!summary.degraded);
-
-    let body = shm_metrics::fetch_metrics(&addr).expect("scrape");
-    server.shutdown();
-    shm_metrics::set_enabled(false);
-
-    let samples = shm_metrics::parse_exposition(&body);
-    let completed = samples
-        .iter()
-        .find(|s| s.name == "shm_jobs_completed_total")
-        .expect("job-completion counter exported");
-    assert!(completed.value >= sweep_labels().len() as f64);
-    // The coordinator polled both loopback workers for stats and exported
-    // their gauges labelled by worker id.
-    for worker in ["local-0", "local-1"] {
-        assert!(
-            samples.iter().any(|s| s.name == "shm_worker_completed"
-                && s.labels.iter().any(|(k, v)| k == "worker" && v == worker)),
-            "per-worker series for {worker} missing:\n{body}"
-        );
-    }
-    assert!(
-        samples
-            .iter()
-            .any(|s| s.name == "shm_frame_tx_bytes_total" && s.value > 0.0),
-        "frame byte accounting missing"
-    );
-}
-
-#[test]
-fn heartbeat_knobs_come_from_environment() {
-    let _lock = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
-
-    std::env::set_var(sim_dist::HEARTBEAT_TIMEOUT_ENV, "1234");
-    std::env::set_var(sim_dist::HEARTBEAT_INTERVAL_ENV, "77");
-    let coord = DistOptions::from_env();
-    let worker = WorkerOptions::from_env();
-    std::env::remove_var(sim_dist::HEARTBEAT_TIMEOUT_ENV);
-    std::env::remove_var(sim_dist::HEARTBEAT_INTERVAL_ENV);
-    assert_eq!(coord.heartbeat_timeout_ms, 1234);
-    assert_eq!(worker.heartbeat_interval_ms, 77);
-
-    // Unset / malformed values fall back to the defaults silently.
-    std::env::set_var(sim_dist::HEARTBEAT_TIMEOUT_ENV, "not-a-number");
-    let fallback = DistOptions::from_env();
-    std::env::remove_var(sim_dist::HEARTBEAT_TIMEOUT_ENV);
-    assert_eq!(
-        fallback.heartbeat_timeout_ms,
-        DistOptions::default().heartbeat_timeout_ms
-    );
-    assert_eq!(
-        WorkerOptions::from_env().heartbeat_interval_ms,
-        WorkerOptions::default().heartbeat_interval_ms
-    );
 }
