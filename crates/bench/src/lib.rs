@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use gpu_mem_sim::{DesignPoint, EnergyModel, Simulator};
-use gpu_types::{GpuConfig, SimStats, TrafficClass};
+use gpu_types::{fnv1a64, GpuConfig, SimStats, TrafficClass};
 pub use shm_recovery::RecoveryError;
 use shm_recovery::{config_hash, map_journaled, JobJournal, SweepOptions};
 use shm_workloads::BenchmarkProfile;
@@ -29,14 +29,6 @@ pub fn scaled_suite(scale: f64) -> Vec<BenchmarkProfile> {
             p
         })
         .collect()
-}
-
-/// 64-bit FNV-1a of `bytes`: the harness's one content hash (trace seeds,
-/// output digests).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
 }
 
 /// Deterministic per-benchmark trace seed: FNV-1a over the full name.
@@ -351,13 +343,6 @@ mod tests {
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-9);
         assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-9);
         assert_eq!(geomean(&[]), 0.0);
-    }
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

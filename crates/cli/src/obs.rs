@@ -115,7 +115,7 @@ pub fn cmd_env() {
         println!("{name:<26} {value:<12} {meaning}");
     }
     println!(
-        "\naes backend selected by this build/host: {}",
+        "\naes backend detected on this host: {}",
         shm_crypto::selected_backend().name()
     );
     println!(
@@ -134,24 +134,9 @@ fn env_knob_table() -> Vec<(&'static str, &'static str, &'static str)> {
             "worker-pool width for local sweeps (1 = serial)",
         ),
         (
-            sim_exec::JOB_TIMEOUT_ENV,
-            "0",
-            "per-job wall-clock budget in ms for robust sweeps (0 = off)",
-        ),
-        (
-            sim_exec::JOB_RETRIES_ENV,
-            "derived",
-            "sweep-wide retry budget for robust sweeps",
-        ),
-        (
             METRICS_ADDR_ENV,
             "unset",
             "HOST:PORT for the /metrics endpoint (same as --metrics-addr)",
-        ),
-        (
-            shm_crypto::AES_BACKEND_ENV,
-            "auto",
-            "AES backend: auto|aesni|ttable (auto = AES-NI when the CPU has it)",
         ),
     ];
     knobs.extend(shm_pool::ENV_KNOBS.iter().copied());

@@ -60,6 +60,14 @@ pub const REGION_BYTES: u64 = 16 * 1024;
 /// Bytes of MAC per protected 128 B block (8 B in the paper).
 pub const MAC_BYTES_PER_BLOCK: u64 = 8;
 
+/// 64-bit FNV-1a of `bytes`: the workspace's one content hash (trace seeds,
+/// output digests, journal config guards).  Not cryptographic.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,5 +77,12 @@ mod tests {
         assert_eq!(SECTORS_PER_BLOCK as u64 * SECTOR_BYTES, BLOCK_BYTES);
         assert_eq!(BLOCKS_PER_CHUNK as u64 * BLOCK_BYTES, CHUNK_BYTES);
         assert_eq!(REGION_BYTES % CHUNK_BYTES, 0);
+    }
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

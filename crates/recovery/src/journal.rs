@@ -15,7 +15,7 @@
 //! bytes an uninterrupted one would.  The config hash guards against
 //! resuming with a different benchmark set, scale or design list.
 
-use gpu_types::{SimStats, TrafficBytes};
+use gpu_types::{fnv1a64, SimStats, TrafficBytes};
 use sim_exec::{CancelToken, Executor, JobPanic, LabelledPanic, SweepError};
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -29,18 +29,12 @@ pub const JOURNAL_VERSION: u32 = 1;
 /// labels, scale, …) — the guard a journal stores so `--resume` refuses to
 /// mix results from different sweep configurations.
 pub fn config_hash(parts: &[&str]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    };
+    let mut bytes = Vec::new();
     for p in parts {
-        for b in p.bytes() {
-            eat(b);
-        }
-        eat(0x1f); // unit separator: ["ab","c"] != ["a","bc"]
+        bytes.extend_from_slice(p.as_bytes());
+        bytes.push(0x1f); // unit separator: ["ab","c"] != ["a","bc"]
     }
-    h
+    fnv1a64(&bytes)
 }
 
 /// How a job result crosses the journal boundary.  Implementations must
@@ -54,7 +48,7 @@ pub trait JournalCodec: Sized {
 }
 
 /// Extracts `"key":<u64>` from a flat JSON object.
-pub(crate) fn json_u64(s: &str, key: &str) -> Option<u64> {
+fn json_u64(s: &str, key: &str) -> Option<u64> {
     let pat = format!("\"{key}\":");
     let rest = &s[s.find(&pat)? + pat.len()..];
     let end = rest
@@ -179,7 +173,7 @@ impl JournalCodec for String {
     }
 }
 
-pub(crate) fn escape_into(s: &str, out: &mut String) {
+fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -190,7 +184,7 @@ pub(crate) fn escape_into(s: &str, out: &mut String) {
     }
 }
 
-pub(crate) fn unescape(s: &str) -> Option<String> {
+fn unescape(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -318,7 +312,9 @@ impl JobJournal {
                             }
                             needs_meta = false;
                         }
-                        None if is_last => break, // torn meta: rewrite below
+                        // Torn meta (crash before its closing brace): rewrite
+                        // below.  A complete but unreadable one is corrupt.
+                        None if is_last && !line.ends_with('}') => break,
                         None => return Err(RecoveryError::Corrupt { path, line: 1 }),
                     }
                     continue;
@@ -411,7 +407,7 @@ fn parse_meta(line: &str) -> Option<(u32, u64)> {
     if !line.starts_with("{\"type\":\"journal_meta\"") || !line.ends_with('}') {
         return None;
     }
-    let version = json_u64(line, "version")? as u32;
+    let version = u32::try_from(json_u64(line, "version")?).ok()?;
     let pat = "\"config_hash\":\"";
     let rest = &line[line.find(pat)? + pat.len()..];
     let hex = &rest[..rest.find('"')?];
@@ -607,6 +603,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("shm-journal-{}-{name}.jsonl", std::process::id()))
@@ -688,6 +685,28 @@ mod tests {
             }
             other => panic!("expected mismatch, got {other:?}"),
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn out_of_range_version_is_rejected_not_truncated() {
+        // 2^32 + 1 truncates to JOURNAL_VERSION as a u32.
+        let path = tmp("version-wrap");
+        let meta = format!(
+            "{{\"type\":\"journal_meta\",\"version\":4294967297,\"config_hash\":\"{:016x}\"}}\n",
+            7u64
+        );
+        std::fs::write(&path, &meta).expect("write meta only");
+        assert!(matches!(
+            JobJournal::open(&path, 7),
+            Err(RecoveryError::Corrupt { line: 1, .. })
+        ));
+        let job = "{\"type\":\"job\",\"label\":\"a\",\"payload\":\"x\"}\n";
+        std::fs::write(&path, meta + job).expect("write meta and job");
+        assert!(matches!(
+            JobJournal::open(&path, 7),
+            Err(RecoveryError::Corrupt { line: 1, .. })
+        ));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -843,10 +862,105 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A well-formed journal: meta line plus two job records.
+    fn valid_journal(hash: u64) -> String {
+        let path = tmp(&format!("valid-{hash:x}"));
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut j = JobJournal::open(&path, hash).expect("create");
+            j.record("a under SHM", &stats(1)).expect("append");
+            j.record("b \"quoted\"", &"text\nline".to_string())
+                .expect("append");
+        }
+        let doc = std::fs::read_to_string(&path).expect("read back");
+        let _ = std::fs::remove_file(&path);
+        doc
+    }
+
+    proptest! {
+        /// `open` on an arbitrary file — random text, or a valid journal cut
+        /// anywhere with random text after it — returns `Ok` or `Err`, never
+        /// panics.
+        fn journal_open_never_panics_on_arbitrary_files(
+            noise in proptest::collection::vec(any::<u8>(), 0..200),
+            keep_prefix in any::<bool>(),
+            cut in 0usize..2048,
+        ) {
+            let mut doc = Vec::new();
+            if keep_prefix {
+                let valid = valid_journal(11);
+                doc.extend_from_slice(&valid.as_bytes()[..cut.min(valid.len())]);
+            }
+            doc.extend_from_slice(&noise);
+            let path = tmp("arbitrary");
+            std::fs::write(&path, String::from_utf8_lossy(&doc).as_bytes()).expect("write");
+            let _ = JobJournal::open(&path, 11);
+            let _ = std::fs::remove_file(&path);
+        }
+
+        /// `decode_journal` never panics on arbitrary text, including a
+        /// valid encoding with random bytes spliced in.
+        fn sim_stats_decode_never_panics(
+            noise in proptest::collection::vec(any::<u8>(), 0..64),
+            at in 0usize..1024,
+        ) {
+            let _ = SimStats::decode_journal(&String::from_utf8_lossy(&noise));
+            let mut enc = String::new();
+            stats(3).encode_journal(&mut enc);
+            let mut bytes = enc.into_bytes();
+            let at = at.min(bytes.len());
+            bytes.splice(at..at, noise);
+            let _ = SimStats::decode_journal(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// Every field value, up to `u64::MAX`, survives the journal codec.
+        fn sim_stats_codec_roundtrips_arbitrary_values(
+            v in proptest::collection::vec(any::<u64>(), 36..37),
+        ) {
+            let s = SimStats {
+                cycles: v[0],
+                instructions: v[1],
+                accesses: v[2],
+                l2_hits: v[3],
+                l2_misses: v[4],
+                l2_writebacks: v[5],
+                ctr_hits: v[6],
+                ctr_misses: v[7],
+                mac_hits: v[8],
+                mac_misses: v[9],
+                bmt_hits: v[10],
+                bmt_misses: v[11],
+                victim_hits: v[12],
+                traffic: TrafficBytes {
+                    read: [v[13], v[14], v[15], v[16], v[17]],
+                    write: [v[18], v[19], v[20], v[21], v[22]],
+                },
+                readonly_fast_path: v[23],
+                chunk_mac_accesses: v[24],
+                stream_mispredictions: v[25],
+                readonly_mispredictions: v[26],
+                lat_sum: v[27],
+                lat_max: v[28],
+                dram_requests: v[29],
+                pool_migrations: v[30],
+                pool_spills: v[31],
+                pool_cpu_accesses: v[32],
+                pool_capacity_events: v[33],
+                link_bytes_to_gpu: v[34],
+                link_bytes_to_cpu: v[35],
+            };
+            let mut enc = String::new();
+            s.encode_journal(&mut enc);
+            prop_assert_eq!(SimStats::decode_journal(&enc), Some(s));
+        }
+    }
+
     #[test]
     fn config_hash_separates_parts() {
         assert_ne!(config_hash(&["ab", "c"]), config_hash(&["a", "bc"]));
         assert_ne!(config_hash(&["a"]), config_hash(&["a", ""]));
         assert_eq!(config_hash(&["x", "y"]), config_hash(&["x", "y"]));
+        // Pinned: journals written by earlier builds must still resume.
+        assert_eq!(config_hash(&["suite", "0.25"]), 0x8309_82b6_cdc1_db18);
     }
 }

@@ -22,17 +22,11 @@
 //! jobs on cooperative cancellation — so `--resume` after SIGINT/SIGTERM
 //! or a kill re-runs only what is missing and reproduces byte-identical
 //! final tables.
-//!
-//! [`checkpoint`] keeps the same JSONL-with-config-guard discipline for a
-//! coordinator's assignment/result state.  It has no caller in the
-//! workspace since the distributed backend was removed.
 
-pub mod checkpoint;
 pub mod crash;
 pub mod journal;
 pub mod wal;
 
-pub use checkpoint::{CkptOutcome, CoordinatorCheckpoint, CHECKPOINT_VERSION};
 pub use crash::{
     crash_sweep, run_crash, CrashConfig, CrashOutcome, CrashReport, CrashSweepReport,
     RegionOutcome, MICRO_OPS_PER_WRITE,

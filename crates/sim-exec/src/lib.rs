@@ -32,22 +32,13 @@
 
 pub mod arena;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
 
 /// Environment variable overriding the worker-pool width (`1` = serial).
 pub const JOBS_ENV: &str = "SHM_JOBS";
-
-/// Environment variable setting the per-job wall-clock budget in
-/// milliseconds for [`Executor::run_robust`] (`0` disables the watchdog).
-pub const JOB_TIMEOUT_ENV: &str = "SHM_JOB_TIMEOUT_MS";
-
-/// Environment variable setting the sweep-wide retry budget for
-/// [`Executor::run_robust`].
-pub const JOB_RETRIES_ENV: &str = "SHM_JOB_RETRIES";
 
 /// Process-global cancellation flag, set by the CLI's SIGINT/SIGTERM
 /// handler.  An atomic store is all a signal handler may safely do, so the
@@ -256,59 +247,19 @@ impl Executor {
     /// (or one item) everything runs on the calling thread — the panic
     /// capture and result shape are identical, so `--jobs 1` output is the
     /// reference the parallel path must reproduce byte-for-byte.
+    ///
+    /// `map` never stops early: it does not observe the process-global
+    /// cancel flag, only [`map_cancellable`](Executor::map_cancellable)
+    /// does.
     pub fn map<I, T, F>(&self, items: &[I], work: F) -> Vec<JobResult<T>>
     where
         I: Sync,
         T: Send,
         F: Fn(usize, &I) -> T + Sync,
     {
-        let workers = self.jobs.min(items.len()).max(1);
-        let slots: Vec<Mutex<Option<JobResult<T>>>> =
-            (0..items.len()).map(|_| Mutex::new(None)).collect();
-
-        let run_one = |i: usize| {
-            let outcome =
-                catch_unwind(AssertUnwindSafe(|| work(i, &items[i]))).map_err(|payload| JobPanic {
-                    index: i,
-                    label: None,
-                    message: panic_message(payload),
-                });
-            // Each index is scheduled exactly once, so the slot is empty.
-            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-        };
-
-        if workers == 1 {
-            for i in 0..items.len() {
-                run_one(i);
-            }
-        } else {
-            // Deal jobs round-robin so queues start balanced even when job
-            // costs correlate with index (heavier benchmarks first).
-            let queues: Vec<Mutex<VecDeque<usize>>> =
-                (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-            for (i, q) in (0..items.len()).zip((0..workers).cycle()) {
-                queues[q].lock().expect("fresh queue").push_back(i);
-            }
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let queues = &queues;
-                    let run_one = &run_one;
-                    scope.spawn(move || {
-                        while let Some(i) = next_job(queues, w) {
-                            run_one(i);
-                        }
-                    });
-                }
-            });
-        }
-
-        slots
+        self.schedule(items, None, work)
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("every job scheduled once")
-            })
+            .map(|slot| slot.expect("every job scheduled once"))
             .collect()
     }
 
@@ -332,9 +283,28 @@ impl Executor {
         T: Send,
         F: Fn(usize, &I) -> T + Sync,
     {
+        self.schedule(items, Some(token), work)
+    }
+
+    /// The one scheduling loop behind [`map`](Executor::map) and
+    /// [`map_cancellable`](Executor::map_cancellable).  Before pulling each
+    /// job a worker checks `token` (when there is one) and stops once it
+    /// has tripped; a job it never pulled leaves its slot `None`.
+    fn schedule<I, T, F>(
+        &self,
+        items: &[I],
+        token: Option<&CancelToken>,
+        work: F,
+    ) -> Vec<Option<JobResult<T>>>
+    where
+        I: Sync,
+        T: Send,
+        F: Fn(usize, &I) -> T + Sync,
+    {
         let workers = self.jobs.min(items.len()).max(1);
         let slots: Vec<Mutex<Option<JobResult<T>>>> =
             (0..items.len()).map(|_| Mutex::new(None)).collect();
+        let stopped = || token.is_some_and(CancelToken::is_cancelled);
 
         let run_one = |i: usize| {
             let outcome =
@@ -343,17 +313,20 @@ impl Executor {
                     label: None,
                     message: panic_message(payload),
                 });
+            // Each index is scheduled exactly once, so the slot is empty.
             *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
         };
 
         if workers == 1 {
             for i in 0..items.len() {
-                if token.is_cancelled() {
+                if stopped() {
                     break;
                 }
                 run_one(i);
             }
         } else {
+            // Deal jobs round-robin so queues start balanced even when job
+            // costs correlate with index (heavier benchmarks first).
             let queues: Vec<Mutex<VecDeque<usize>>> =
                 (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
             for (i, q) in (0..items.len()).zip((0..workers).cycle()) {
@@ -363,13 +336,11 @@ impl Executor {
                 for w in 0..workers {
                     let queues = &queues;
                     let run_one = &run_one;
-                    scope.spawn(move || loop {
-                        if token.is_cancelled() {
-                            break;
-                        }
-                        match next_job(queues, w) {
-                            Some(i) => run_one(i),
-                            None => break,
+                    let stopped = &stopped;
+                    scope.spawn(move || {
+                        while !stopped() {
+                            let Some(i) = next_job(queues, w) else { break };
+                            run_one(i);
                         }
                     });
                 }
@@ -415,328 +386,6 @@ impl Executor {
             Err(SweepError { failed })
         }
     }
-
-    /// Runs every job under a wall-clock watchdog and a bounded retry
-    /// budget, always completing the sweep: a hung job is abandoned as a
-    /// [`JobOutcome::TimedOut`] while the remaining jobs keep running, so
-    /// the caller gets deterministic partial results instead of a wedged
-    /// process.
-    ///
-    /// Mechanics:
-    ///
-    /// * Jobs run on detached worker threads (hence the `'static` bounds —
-    ///   a wedged job cannot be killed, only abandoned, and a scoped thread
-    ///   would block the join).  When the watchdog expires a job it sets
-    ///   the job's [`JobCtx`] cancel flag — cooperative jobs poll
-    ///   [`JobCtx::cancelled`] and bail out; uncooperative ones leak a
-    ///   thread that dies with the process — and spawns a replacement
-    ///   worker so pending jobs still drain.
-    /// * A job whose attempt panics is re-queued exactly once while the
-    ///   sweep-wide `retry_budget` lasts (transient-failure recovery);
-    ///   its second panic is final.  Timed-out jobs are never retried — a
-    ///   wedge is assumed to reproduce.
-    /// * Outcomes come back in submission order; a late completion of an
-    ///   abandoned attempt is discarded (first verdict wins), so the
-    ///   report shape is deterministic given which jobs wedge.
-    pub fn run_robust<I, T, F, L>(
-        &self,
-        items: Vec<I>,
-        cfg: RobustConfig,
-        label: L,
-        work: F,
-    ) -> RobustReport<T>
-    where
-        I: Send + Sync + 'static,
-        T: Send + 'static,
-        F: Fn(&JobCtx, &I) -> T + Send + Sync + 'static,
-        L: Fn(usize, &I) -> String,
-    {
-        let n = items.len();
-        if n == 0 {
-            return RobustReport {
-                outcomes: Vec::new(),
-                retries_used: 0,
-            };
-        }
-        let items = Arc::new(items);
-        let work = Arc::new(work);
-        let pending: Arc<Mutex<VecDeque<(usize, u32)>>> =
-            Arc::new(Mutex::new((0..n).map(|i| (i, 0u32)).collect()));
-        let cancels: Arc<Vec<AtomicBool>> =
-            Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
-        let (tx, rx) = mpsc::channel::<RobustMsg<T>>();
-
-        let spawn_worker = |tx: mpsc::Sender<RobustMsg<T>>| {
-            let items = Arc::clone(&items);
-            let work = Arc::clone(&work);
-            let pending = Arc::clone(&pending);
-            let cancels = Arc::clone(&cancels);
-            std::thread::spawn(move || loop {
-                let job = pending
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .pop_front();
-                let Some((i, attempt)) = job else { break };
-                let _ = tx.send(RobustMsg::Started { index: i });
-                let ctx = JobCtx {
-                    index: i,
-                    cancels: Arc::clone(&cancels),
-                };
-                let result =
-                    catch_unwind(AssertUnwindSafe(|| work(&ctx, &items[i]))).map_err(panic_message);
-                if tx
-                    .send(RobustMsg::Finished {
-                        index: i,
-                        attempt,
-                        result,
-                    })
-                    .is_err()
-                {
-                    break; // sweep already reported; nobody is listening
-                }
-            });
-        };
-        for _ in 0..self.jobs.min(n) {
-            spawn_worker(tx.clone());
-        }
-
-        let watchdog = (cfg.timeout_ms > 0).then(|| Duration::from_millis(cfg.timeout_ms));
-        let mut outcomes: Vec<Option<JobOutcome<T>>> = (0..n).map(|_| None).collect();
-        let mut running: HashMap<usize, Instant> = HashMap::new();
-        let mut resolved = 0usize;
-        let mut budget = cfg.retry_budget;
-        let mut retries_used = 0u32;
-
-        while resolved < n {
-            // Wake at the earliest running deadline; with no watchdog (or
-            // nothing running yet) poll at a coarse interval — `tx` is held
-            // here, so the channel can never disconnect under us.
-            let wait = match (watchdog, running.values().min()) {
-                (Some(_), Some(&deadline)) => deadline.saturating_duration_since(Instant::now()),
-                _ => Duration::from_millis(25),
-            };
-            match rx.recv_timeout(wait) {
-                Ok(RobustMsg::Started { index }) => {
-                    if outcomes[index].is_none() {
-                        if let Some(t) = watchdog {
-                            running.insert(index, Instant::now() + t);
-                        }
-                    }
-                }
-                Ok(RobustMsg::Finished {
-                    index,
-                    attempt,
-                    result,
-                }) => {
-                    running.remove(&index);
-                    if outcomes[index].is_some() {
-                        continue; // abandoned attempt finished late
-                    }
-                    match result {
-                        Ok(v) => {
-                            outcomes[index] = Some(JobOutcome::Ok(v));
-                            resolved += 1;
-                        }
-                        Err(_) if attempt == 0 && budget > 0 => {
-                            budget -= 1;
-                            retries_used += 1;
-                            pending
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .push_back((index, 1));
-                            spawn_worker(tx.clone());
-                        }
-                        Err(message) => {
-                            outcomes[index] = Some(JobOutcome::Panicked(JobPanic {
-                                index,
-                                label: Some(label(index, &items[index])),
-                                message,
-                            }));
-                            resolved += 1;
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    let now = Instant::now();
-                    let expired: Vec<usize> = running
-                        .iter()
-                        .filter(|&(_, &deadline)| deadline <= now)
-                        .map(|(&i, _)| i)
-                        .collect();
-                    for i in expired {
-                        running.remove(&i);
-                        cancels[i].store(true, Ordering::Relaxed);
-                        outcomes[i] = Some(JobOutcome::TimedOut(JobTimeout {
-                            index: i,
-                            label: label(i, &items[i]),
-                            timeout_ms: cfg.timeout_ms,
-                        }));
-                        resolved += 1;
-                        // The worker on job i may be wedged for good;
-                        // replace it so the rest of the queue still drains.
-                        spawn_worker(tx.clone());
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-
-        RobustReport {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every job resolved"))
-                .collect(),
-            retries_used,
-        }
-    }
-}
-
-/// Completion-channel messages for [`Executor::run_robust`].
-enum RobustMsg<T> {
-    Started {
-        index: usize,
-    },
-    Finished {
-        index: usize,
-        attempt: u32,
-        result: Result<T, String>,
-    },
-}
-
-/// Watchdog and retry policy for [`Executor::run_robust`].  The default is
-/// "no watchdog, no retries".
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RobustConfig {
-    /// Wall-clock budget per job attempt in milliseconds; 0 disables the
-    /// watchdog entirely.
-    pub timeout_ms: u64,
-    /// Total re-runs the whole sweep may spend on panicked jobs.  Each job
-    /// is retried at most once, and only while budget remains.
-    pub retry_budget: u32,
-}
-
-impl RobustConfig {
-    /// Policy from [`JOB_TIMEOUT_ENV`] and [`JOB_RETRIES_ENV`], defaulting
-    /// to "no watchdog, no retries" when unset or unparsable.
-    pub fn from_env() -> Self {
-        Self {
-            timeout_ms: std::env::var(JOB_TIMEOUT_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(0),
-            retry_budget: std::env::var(JOB_RETRIES_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(0),
-        }
-    }
-}
-
-/// Handle passed to [`Executor::run_robust`] jobs for cooperative
-/// cancellation.
-#[derive(Clone, Debug)]
-pub struct JobCtx {
-    index: usize,
-    cancels: Arc<Vec<AtomicBool>>,
-}
-
-impl JobCtx {
-    /// Submission index of the job this context belongs to.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// True once the watchdog has abandoned this attempt.  Long-running
-    /// jobs should poll this and return early; the value they return is
-    /// discarded.
-    pub fn cancelled(&self) -> bool {
-        self.cancels[self.index].load(Ordering::Relaxed)
-    }
-}
-
-/// A job that exceeded its wall-clock budget and was abandoned.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobTimeout {
-    /// Submission index of the abandoned job.
-    pub index: usize,
-    /// Human-readable job description (e.g. `"kmeans under SHM"`).
-    pub label: String,
-    /// The budget that was exceeded, in milliseconds.
-    pub timeout_ms: u64,
-}
-
-impl core::fmt::Display for JobTimeout {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "job {} ({}) timed out after {} ms",
-            self.index, self.label, self.timeout_ms
-        )
-    }
-}
-
-impl std::error::Error for JobTimeout {}
-
-/// Per-job verdict from [`Executor::run_robust`].
-#[derive(Clone, Debug)]
-pub enum JobOutcome<T> {
-    /// The job completed, possibly after a retry.
-    Ok(T),
-    /// The job panicked on its final attempt.
-    Panicked(JobPanic),
-    /// The job exceeded its wall-clock budget and was abandoned.
-    TimedOut(JobTimeout),
-}
-
-impl<T> JobOutcome<T> {
-    /// The completed value, if any.
-    pub fn ok(&self) -> Option<&T> {
-        match self {
-            JobOutcome::Ok(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// A rendered failure line for panicked / timed-out jobs.
-    pub fn failure(&self) -> Option<String> {
-        match self {
-            JobOutcome::Ok(_) => None,
-            JobOutcome::Panicked(p) => Some(p.to_string()),
-            JobOutcome::TimedOut(t) => Some(t.to_string()),
-        }
-    }
-}
-
-/// Everything [`Executor::run_robust`] learned about a sweep: one outcome
-/// per job in submission order, plus the retries consumed.
-#[derive(Clone, Debug)]
-pub struct RobustReport<T> {
-    /// One outcome per submitted job, in submission order.
-    pub outcomes: Vec<JobOutcome<T>>,
-    /// Retries consumed from the budget.
-    pub retries_used: u32,
-}
-
-impl<T> RobustReport<T> {
-    /// Number of jobs that completed.
-    pub fn ok_count(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.ok().is_some()).count()
-    }
-
-    /// Number of jobs that panicked or timed out.
-    pub fn failed_count(&self) -> usize {
-        self.outcomes.len() - self.ok_count()
-    }
-
-    /// True when every job completed.
-    pub fn is_clean(&self) -> bool {
-        self.failed_count() == 0
-    }
-
-    /// Rendered failure lines, in submission order.
-    pub fn failure_lines(&self) -> Vec<String> {
-        self.outcomes.iter().filter_map(|o| o.failure()).collect()
-    }
 }
 
 /// A captured panic together with the caller's human-readable job label.
@@ -771,6 +420,8 @@ impl std::error::Error for SweepError {}
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_submission_order() {
@@ -921,91 +572,6 @@ mod tests {
             "{}",
             err.failed[0].panic
         );
-    }
-
-    #[test]
-    fn run_robust_times_out_wedged_jobs_and_returns_partial_results() {
-        let report = Executor::new(2).run_robust(
-            vec![1u32, 2, 3, 4],
-            RobustConfig {
-                timeout_ms: 150,
-                retry_budget: 0,
-            },
-            |i, _| format!("job-{i}"),
-            |ctx, &x| {
-                if x == 3 {
-                    // Wedge cooperatively: hold until the watchdog abandons
-                    // this attempt, so the test leaks no long-lived thread.
-                    while !ctx.cancelled() {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    return 0;
-                }
-                x * 10
-            },
-        );
-        assert_eq!(report.outcomes.len(), 4);
-        assert!(matches!(report.outcomes[0], JobOutcome::Ok(10)));
-        assert!(matches!(report.outcomes[1], JobOutcome::Ok(20)));
-        match &report.outcomes[2] {
-            JobOutcome::TimedOut(t) => {
-                assert_eq!(t.label, "job-2");
-                assert_eq!(t.timeout_ms, 150);
-                assert!(t.to_string().contains("job-2"), "{t}");
-            }
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        assert!(matches!(report.outcomes[3], JobOutcome::Ok(40)));
-        assert_eq!(report.ok_count(), 3);
-        assert_eq!(report.failed_count(), 1);
-        assert!(!report.is_clean());
-        assert_eq!(report.failure_lines().len(), 1);
-    }
-
-    #[test]
-    fn run_robust_retries_transient_panics_within_budget() {
-        let tries = Arc::new(AtomicUsize::new(0));
-        let t2 = Arc::clone(&tries);
-        let report = Executor::new(2).run_robust(
-            vec![0u32, 1],
-            RobustConfig {
-                timeout_ms: 0,
-                retry_budget: 2,
-            },
-            |i, _| format!("job-{i}"),
-            move |ctx, _| {
-                if ctx.index() == 1 && t2.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("transient");
-                }
-                7u32
-            },
-        );
-        assert!(report.is_clean(), "{:?}", report.failure_lines());
-        assert_eq!(report.retries_used, 1);
-        assert_eq!(tries.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn run_robust_reports_final_panics_with_labels() {
-        let report = Executor::new(2).run_robust(
-            vec![0u32, 1],
-            RobustConfig::default(),
-            |i, _| format!("job-{i}"),
-            |ctx, _| {
-                if ctx.index() == 1 {
-                    panic!("always");
-                }
-                3u32
-            },
-        );
-        assert_eq!(report.ok_count(), 1);
-        match &report.outcomes[1] {
-            JobOutcome::Panicked(p) => {
-                assert_eq!(p.label.as_deref(), Some("job-1"));
-                assert!(p.to_string().contains("(job-1)"), "{p}");
-            }
-            other => panic!("expected panic, got {other:?}"),
-        }
     }
 
     /// Serializes tests that read or write the process-global cancel flag —

@@ -9,7 +9,7 @@
 
 use std::process::Command;
 
-use shm_bench::fnv1a64;
+use gpu_types::fnv1a64;
 
 /// Trace scale of the pinned run: the whole test takes about 15 s in a
 /// debug build on a 2-core host.
@@ -18,17 +18,22 @@ const SCALE: &str = "0.05";
 /// FNV-1a 64 of `repro all --scale 0.05` stdout.
 const ALL_DIGEST: u64 = 0x9250_cc1e_e870_889d;
 
+/// FNV-1a 64 of `repro all --scale 0.25` stdout: the larger pinned run,
+/// too slow for a debug test build, so it is `#[ignore]`d and run with
+/// `cargo test --release --test repro_golden -- --ignored`.
+const ALL_DIGEST_QUARTER: u64 = 0x406f_0b36_9931_954b;
+
 /// Targets that `all` renders from its shared sweeps.
 const SHARED_TARGETS: [&str; 8] = [
     "table7", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 ];
 
-/// Runs `repro <target> --scale SCALE --jobs 2` and returns its stdout.
+/// Runs `repro <target> --scale <scale> --jobs 2` and returns its stdout.
 /// `SHM_*` knobs are cleared so the caller's environment cannot shape the
 /// simulated system.
-fn repro(target: &str) -> String {
+fn repro_at(target: &str, scale: &str) -> String {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
-    cmd.args([target, "--scale", SCALE, "--jobs", "2"]);
+    cmd.args([target, "--scale", scale, "--jobs", "2"]);
     for (key, _) in std::env::vars_os() {
         if key.to_string_lossy().starts_with("SHM_") {
             cmd.env_remove(key);
@@ -42,6 +47,11 @@ fn repro(target: &str) -> String {
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("repro prints UTF-8")
+}
+
+/// [`repro_at`] at the pinned [`SCALE`].
+fn repro(target: &str) -> String {
+    repro_at(target, SCALE)
 }
 
 /// `all` cut at its `== … ==` headings; each piece keeps the blank line
@@ -72,4 +82,16 @@ fn repro_all_output_is_pinned_and_matches_every_single_target() {
             "repro {target} differs from its section of repro all"
         );
     }
+}
+
+#[test]
+#[ignore = "slow in a debug build; run with --release -- --ignored"]
+fn repro_all_at_quarter_scale_is_pinned() {
+    let all = repro_at("all", "0.25");
+    assert_eq!(
+        fnv1a64(all.as_bytes()),
+        ALL_DIGEST_QUARTER,
+        "repro all --scale 0.25 output changed (digest {:016x})",
+        fnv1a64(all.as_bytes())
+    );
 }
