@@ -435,17 +435,7 @@ fn cmd_run(args: Args) -> Result<(), CliError> {
     let base = take()?;
     report::print_run(&trace, design, &stats, &base, &EnergyModel::default());
     if let Some(p) = pools {
-        println!(
-            "pools ({}): migrations {}  spills {}  cpu accesses {}  capacity events {}  \
-             link to-gpu {} B  to-cpu {} B",
-            p.policy.label(),
-            stats.pool_migrations,
-            stats.pool_spills,
-            stats.pool_cpu_accesses,
-            stats.pool_capacity_events,
-            stats.link_bytes_to_gpu,
-            stats.link_bytes_to_cpu,
-        );
+        println!("pools ({}): {}", p.policy.label(), pool_counters(&stats));
     }
     if probe.is_enabled() {
         if let Some(s) = probe.summary() {
@@ -772,19 +762,24 @@ fn format_pool_sweep_tables(
             .find(|(_, d)| *d == DesignPoint::Shm)
             .map(|(s, _)| s)
             .unwrap_or(&slice[0]);
-        let _ = writeln!(
-            out,
-            "pool counters (SHM row): migrations {}  spills {}  cpu accesses {}  \
-             capacity events {}  link to-gpu {} B  to-cpu {} B\n",
-            shm.pool_migrations,
-            shm.pool_spills,
-            shm.pool_cpu_accesses,
-            shm.pool_capacity_events,
-            shm.link_bytes_to_gpu,
-            shm.link_bytes_to_cpu,
-        );
+        let _ = writeln!(out, "pool counters (SHM row): {}\n", pool_counters(shm));
     }
     out
+}
+
+/// The pool and link counters of one run, as `shm run --pools` and the
+/// pool sweep tables print them.
+fn pool_counters(s: &SimStats) -> String {
+    format!(
+        "migrations {}  spills {}  cpu accesses {}  capacity events {}  \
+         link to-gpu {} B  to-cpu {} B",
+        s.pool_migrations,
+        s.pool_spills,
+        s.pool_cpu_accesses,
+        s.pool_capacity_events,
+        s.link_bytes_to_gpu,
+        s.link_bytes_to_cpu,
+    )
 }
 
 /// Converts the local executor's per-job timings into the canonical span

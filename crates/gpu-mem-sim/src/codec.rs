@@ -127,7 +127,8 @@ pub fn write_trace<W: Write>(trace: &ContextTrace, w: &mut W) -> Result<(), Code
 /// I/O failures and structural errors with line numbers.
 pub fn read_trace<R: BufRead>(r: R) -> Result<ContextTrace, CodecError> {
     let mut trace = ContextTrace::default();
-    let mut current: Option<KernelTrace> = None;
+    // The open kernel and the line of its `kernel` tag.
+    let mut current: Option<(usize, KernelTrace)> = None;
     let mut saw_header = false;
 
     for (idx, line) in r.lines().enumerate() {
@@ -148,6 +149,13 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<ContextTrace, CodecError> {
             u64::from_str_radix(s, 16).map_err(|e| CodecError::Parse {
                 line: n,
                 message: format!("bad {what} {s:?}: {e}"),
+            })
+        };
+        let parse_u32 = |s: Option<&str>, what: &str| -> Result<u32, CodecError> {
+            let v = parse_hex(s, what)?;
+            u32::try_from(v).map_err(|_| CodecError::Parse {
+                line: n,
+                message: format!("{what} {v:x} does not fit in 32 bits"),
             })
         };
 
@@ -175,19 +183,19 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<ContextTrace, CodecError> {
                 trace.readonly_init.push((PhysAddr::new(start), len));
             }
             "kernel" => {
-                if let Some(k) = current.take() {
+                if let Some((_, k)) = current.take() {
                     return Err(CodecError::Parse {
                         line: n,
                         message: format!("kernel {:?} not terminated with `end`", k.name),
                     });
                 }
-                current = Some(KernelTrace::new(
-                    parts.collect::<Vec<_>>().join(" "),
-                    Vec::new(),
+                current = Some((
+                    n,
+                    KernelTrace::new(parts.collect::<Vec<_>>().join(" "), Vec::new()),
                 ));
             }
             "action" => {
-                let k = current.as_mut().ok_or_else(|| CodecError::Parse {
+                let (_, k) = current.as_mut().ok_or_else(|| CodecError::Parse {
                     line: n,
                     message: "action outside a kernel".to_string(),
                 })?;
@@ -206,7 +214,7 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<ContextTrace, CodecError> {
                 });
             }
             "e" => {
-                let k = current.as_mut().ok_or_else(|| CodecError::Parse {
+                let (_, k) = current.as_mut().ok_or_else(|| CodecError::Parse {
                     line: n,
                     message: "event outside a kernel".to_string(),
                 })?;
@@ -222,8 +230,8 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<ContextTrace, CodecError> {
                     }
                 };
                 let space = space_of(parts.next().unwrap_or(""), n)?;
-                let warp = parse_hex(parts.next(), "warp")? as u32;
-                let think = parse_hex(parts.next(), "think cycles")? as u32;
+                let warp = parse_u32(parts.next(), "warp")?;
+                let think = parse_u32(parts.next(), "think cycles")?;
                 k.events.push(MemEvent {
                     addr: PhysAddr::new(addr),
                     kind,
@@ -233,7 +241,7 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<ContextTrace, CodecError> {
                 });
             }
             "end" => {
-                let k = current.take().ok_or_else(|| CodecError::Parse {
+                let (_, k) = current.take().ok_or_else(|| CodecError::Parse {
                     line: n,
                     message: "`end` outside a kernel".to_string(),
                 })?;
@@ -247,9 +255,9 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<ContextTrace, CodecError> {
             }
         }
     }
-    if let Some(k) = current {
+    if let Some((line, k)) = current {
         return Err(CodecError::Parse {
-            line: 0,
+            line,
             message: format!("kernel {:?} not terminated with `end`", k.name),
         });
     }
@@ -333,6 +341,26 @@ mod tests {
     }
 
     #[test]
+    fn unterminated_kernel_reports_its_kernel_line() {
+        let src = "SHMTRACE v1\nname x\n\nkernel k\ne 20 r g 1 0\n";
+        let err = read_trace(src.as_bytes()).expect_err("no end");
+        assert!(matches!(err, CodecError::Parse { line: 4, .. }), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_warp_and_think_are_rejected_not_truncated() {
+        for event in ["e 20 r g 100000003 0", "e 20 r g 3 100000000"] {
+            let src = format!("SHMTRACE v1\nkernel k\n{event}\nend\n");
+            let err = read_trace(src.as_bytes()).expect_err(event);
+            assert!(matches!(err, CodecError::Parse { line: 3, .. }), "{err}");
+        }
+        let max = "SHMTRACE v1\nkernel k\ne 20 r g ffffffff ffffffff\nend\n";
+        let t = read_trace(max.as_bytes()).expect("u32::MAX fits");
+        assert_eq!(t.kernels[0].events[0].warp, Warp(u32::MAX));
+        assert_eq!(t.kernels[0].events[0].think_cycles, u32::MAX);
+    }
+
+    #[test]
     fn bad_event_reports_line_number() {
         let err = read_trace("SHMTRACE v1\nkernel k\ne zz r g 0 0\nend\n".as_bytes())
             .expect_err("bad hex");
@@ -375,6 +403,32 @@ mod tests {
                 // Names pass through whitespace-normalized (line format).
                 let norm = |n: &str| n.split_whitespace().collect::<Vec<_>>().join(" ");
                 prop_assert_eq!(norm(&back.name), norm(&t.name));
+            }
+
+            /// `read_trace` on arbitrary bytes, and on a valid trace cut
+            /// anywhere with random bytes or trace-like tokens spliced in,
+            /// returns `Ok` or `Err` and never panics.
+            #[test]
+            fn read_trace_never_panics(
+                noise in proptest::collection::vec(any::<u8>(), 0..64),
+                tokens in proptest::collection::vec(0usize..12, 0..12),
+                cut in 0usize..4096,
+            ) {
+                const TOKENS: [&str; 12] = [
+                    "SHMTRACE v1\n", "kernel k\n", "end\n", "e 20 r g ", "ffffffffffffffffff",
+                    " w", " 100000003", "\n", "action memcpy ", "ro ", "# ", " t 1 0",
+                ];
+                let _ = read_trace(noise.as_slice());
+                let mut valid = Vec::new();
+                write_trace(&ContextTrace::streaming_read_demo(40), &mut valid).expect("write");
+                let cut = cut.min(valid.len());
+                for splice in [noise, tokens.iter().flat_map(|&i| TOKENS[i].bytes()).collect()] {
+                    let mut doc = valid.clone();
+                    doc.splice(cut..cut, splice);
+                    let _ = read_trace(doc.as_slice());
+                    doc.truncate(cut);
+                    let _ = read_trace(doc.as_slice());
+                }
             }
         }
     }

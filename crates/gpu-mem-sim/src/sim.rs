@@ -291,35 +291,10 @@ impl Simulator {
             stats.pool_spills = c.spills;
             stats.pool_cpu_accesses = c.cpu_accesses;
             stats.pool_capacity_events = c.capacity_events;
-            let (to_gpu, to_cpu) = pool.link_bytes();
-            stats.link_bytes_to_gpu = to_gpu;
-            stats.link_bytes_to_cpu = to_cpu;
-            shm_metrics::counter!(
-                "shm_pool_migrations_total",
-                "Pages migrated CPU->GPU through the secure channel"
-            )
-            .add(c.migrations);
-            shm_metrics::counter!("shm_pool_spills_total", "Pages spilled GPU->CPU").add(c.spills);
-            shm_metrics::counter!(
-                "shm_pool_cpu_accesses_total",
-                "Data accesses served by the CPU-side pool"
-            )
-            .add(c.cpu_accesses);
-            shm_metrics::counter!(
-                "shm_pool_capacity_events_total",
-                "Accesses under gpu-only capacity pressure"
-            )
-            .add(c.capacity_events);
-            shm_metrics::counter!(
-                "shm_link_to_gpu_bytes_total",
-                "Bytes the coherent link carried toward the GPU pool"
-            )
-            .add(to_gpu);
-            shm_metrics::counter!(
-                "shm_link_to_cpu_bytes_total",
-                "Bytes the coherent link carried toward the CPU pool"
-            )
-            .add(to_cpu);
+            (stats.link_bytes_to_gpu, stats.link_bytes_to_cpu) = pool.link_bytes();
+            for (series, help, value) in stats.prometheus_counters() {
+                shm_metrics::register_counter(series, help).add(value);
+            }
         }
         stats.cycles = clock.max(drain).max(1);
         stats.traffic = fabric.traffic();

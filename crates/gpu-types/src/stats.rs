@@ -100,64 +100,148 @@ impl AddAssign for TrafficBytes {
     }
 }
 
-/// End-of-run statistics from one simulation.
-#[derive(Clone, Default, Debug, PartialEq)]
-pub struct SimStats {
-    /// Total simulated core cycles.
-    pub cycles: u64,
-    /// Instructions retired (trace events completed, including think time).
-    pub instructions: u64,
-    /// Warp-level memory accesses issued.
-    pub accesses: u64,
-    /// L2 hits.
-    pub l2_hits: u64,
-    /// L2 misses.
-    pub l2_misses: u64,
-    /// L2 write-backs sent to DRAM.
-    pub l2_writebacks: u64,
-    /// Counter-cache hits/misses.
-    pub ctr_hits: u64,
-    /// Counter-cache misses.
-    pub ctr_misses: u64,
-    /// MAC-cache hits.
-    pub mac_hits: u64,
-    /// MAC-cache misses.
-    pub mac_misses: u64,
-    /// BMT-cache hits.
-    pub bmt_hits: u64,
-    /// BMT-cache misses.
-    pub bmt_misses: u64,
-    /// Victim-cache (L2) hits for metadata.
-    pub victim_hits: u64,
-    /// DRAM traffic broken down by class.
-    pub traffic: TrafficBytes,
-    /// Accesses that skipped counter fetch + BMT walk via the shared counter.
-    pub readonly_fast_path: u64,
-    /// Accesses served by a chunk-level MAC.
-    pub chunk_mac_accesses: u64,
-    /// Streaming-predictor mispredictions observed.
-    pub stream_mispredictions: u64,
-    /// Read-only-predictor mispredictions observed.
-    pub readonly_mispredictions: u64,
-    /// Sum of access completion latencies (completion - issue), cycles.
-    pub lat_sum: u64,
-    /// Maximum access completion latency observed.
-    pub lat_max: u64,
-    /// DRAM requests completed by the fabric (all traffic classes).
-    pub dram_requests: u64,
-    /// Pages migrated CPU→GPU through the secure inter-pool channel
-    /// (heterogeneous-pool runs only; zero in single-pool mode).
-    pub pool_migrations: u64,
-    /// Pages spilled GPU→CPU to make room for a hot page.
-    pub pool_spills: u64,
-    /// Data accesses served by the CPU-side pool.
-    pub pool_cpu_accesses: u64,
-    /// Accesses that hit GPU-pool capacity pressure (gpu-only policy).
-    pub pool_capacity_events: u64,
-    /// Bytes the coherent link carried toward the GPU pool.
-    pub link_bytes_to_gpu: u64,
-    /// Bytes the coherent link carried toward the CPU pool.
-    pub link_bytes_to_cpu: u64,
+/// Declares a statistics record whose `u64` counters are listed once, as
+/// table rows in output order.
+///
+/// The record gets the fields written in its `struct` body, then one
+/// `pub u64` field per row, plus:
+///
+/// * `COUNTER_NAMES`: the row names in order — the journal keys, epoch JSON
+///   keys and CSV columns;
+/// * `counters()` / `counters_mut()`: `(name, value)` / `(name, &mut value)`
+///   pairs in the same order;
+/// * `prometheus_counters()`: `(series, help, value)` for each row that names
+///   a Prometheus counter after `=>`.
+///
+/// Adding a counter is one row.
+///
+/// ```
+/// gpu_types::counter_table! {
+///     #[derive(Default)]
+///     pub struct Tally {
+///         pub label: String,
+///     }
+///     counters {
+///         /// Things seen.
+///         seen => "demo_seen_total", "Things seen",
+///         kept,
+///     }
+/// }
+/// let t = Tally { seen: 3, kept: 1, ..Default::default() };
+/// assert_eq!(Tally::COUNTER_NAMES, ["seen", "kept"]);
+/// assert_eq!(t.counters(), [("seen", 3), ("kept", 1)]);
+/// assert_eq!(t.prometheus_counters(), [("demo_seen_total", "Things seen", 3)]);
+/// ```
+#[macro_export]
+macro_rules! counter_table {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident : $fty:ty, )*
+        }
+        counters {
+            $( $(#[$cmeta:meta])* $counter:ident $(=> $series:literal, $help:literal)?, )+
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $fty, )*
+            $( $(#[$cmeta])* pub $counter: u64, )+
+        }
+
+        impl $name {
+            /// Counter names in output order, one per table row.
+            pub const COUNTER_NAMES: [&'static str; [$(stringify!($counter)),+].len()] =
+                [$(stringify!($counter)),+];
+
+            /// `(name, value)` for every counter, in table order.
+            pub fn counters(&self) -> [(&'static str, u64); $name::COUNTER_NAMES.len()] {
+                [$((stringify!($counter), self.$counter)),+]
+            }
+
+            /// `(name, &mut value)` for every counter, in table order.
+            pub fn counters_mut(
+                &mut self,
+            ) -> [(&'static str, &mut u64); $name::COUNTER_NAMES.len()] {
+                [$((stringify!($counter), &mut self.$counter)),+]
+            }
+
+            /// `(series, help, value)` for the counters exported to
+            /// Prometheus, in table order.
+            pub fn prometheus_counters(&self) -> Vec<(&'static str, &'static str, u64)> {
+                vec![$($(($series, $help, self.$counter),)?)+]
+            }
+        }
+    };
+}
+
+counter_table! {
+    /// End-of-run statistics from one simulation.
+    #[derive(Clone, Default, Debug, PartialEq)]
+    pub struct SimStats {
+        /// DRAM traffic broken down by class.
+        pub traffic: TrafficBytes,
+    }
+    counters {
+        /// Total simulated core cycles.
+        cycles,
+        /// Instructions retired (trace events completed, including think time).
+        instructions,
+        /// Warp-level memory accesses issued.
+        accesses,
+        /// L2 hits.
+        l2_hits,
+        /// L2 misses.
+        l2_misses,
+        /// L2 write-backs sent to DRAM.
+        l2_writebacks,
+        /// Counter-cache hits.
+        ctr_hits,
+        /// Counter-cache misses.
+        ctr_misses,
+        /// MAC-cache hits.
+        mac_hits,
+        /// MAC-cache misses.
+        mac_misses,
+        /// BMT-cache hits.
+        bmt_hits,
+        /// BMT-cache misses.
+        bmt_misses,
+        /// Victim-cache (L2) hits for metadata.
+        victim_hits,
+        /// Accesses that skipped counter fetch + BMT walk via the shared counter.
+        readonly_fast_path,
+        /// Accesses served by a chunk-level MAC.
+        chunk_mac_accesses,
+        /// Streaming-predictor mispredictions observed.
+        stream_mispredictions,
+        /// Read-only-predictor mispredictions observed.
+        readonly_mispredictions,
+        /// Sum of access completion latencies (completion - issue), cycles.
+        lat_sum,
+        /// Maximum access completion latency observed.
+        lat_max,
+        /// DRAM requests completed by the fabric (all traffic classes).
+        dram_requests,
+        /// Pages migrated CPU→GPU through the secure inter-pool channel
+        /// (heterogeneous-pool runs only; zero in single-pool mode).
+        pool_migrations => "shm_pool_migrations_total",
+            "Pages migrated CPU->GPU through the secure channel",
+        /// Pages spilled GPU→CPU to make room for a hot page.
+        pool_spills => "shm_pool_spills_total", "Pages spilled GPU->CPU",
+        /// Data accesses served by the CPU-side pool.
+        pool_cpu_accesses => "shm_pool_cpu_accesses_total",
+            "Data accesses served by the CPU-side pool",
+        /// Accesses that hit GPU-pool capacity pressure (gpu-only policy).
+        pool_capacity_events => "shm_pool_capacity_events_total",
+            "Accesses under gpu-only capacity pressure",
+        /// Bytes the coherent link carried toward the GPU pool.
+        link_bytes_to_gpu => "shm_link_to_gpu_bytes_total",
+            "Bytes the coherent link carried toward the GPU pool",
+        /// Bytes the coherent link carried toward the CPU pool.
+        link_bytes_to_cpu => "shm_link_to_cpu_bytes_total",
+            "Bytes the coherent link carried toward the CPU pool",
+    }
 }
 
 impl SimStats {

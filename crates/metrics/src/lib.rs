@@ -2,9 +2,9 @@
 //!
 //! Three pieces, all dependency-free:
 //!
-//! * a lock-free **registry** of named counters / gauges / histograms
-//!   ([`register_counter`], [`counter!`], …) that is zero-cost while
-//!   [`enabled`] is false — every hot-path hook is one relaxed atomic load;
+//! * a lock-free **registry** of named counters ([`register_counter`],
+//!   [`counter!`]) that is zero-cost while [`enabled`] is false — every
+//!   hot-path hook is one relaxed atomic load;
 //! * a **Prometheus text-format** renderer ([`render_prometheus`]) plus a
 //!   one-thread blocking HTTP exposition endpoint ([`http::MetricsServer`])
 //!   and the matching scraper client ([`http::fetch_metrics`]);
@@ -12,7 +12,7 @@
 //!   wall time exclusively across the simulator pipeline phases.
 //!
 //! Registration takes a global mutex (cold path, once per call site thanks
-//! to the `OnceLock` inside the macros); updates are plain relaxed atomics.
+//! to the `OnceLock` inside `counter!`); updates are plain relaxed atomics.
 
 pub mod http;
 pub mod phase;
@@ -21,6 +21,5 @@ mod registry;
 pub use http::{fetch_metrics, MetricsServer};
 pub use registry::{
     enable, enabled, is_valid_label_name, is_valid_metric_name, parse_exposition, register_counter,
-    register_gauge, register_histogram, render_prometheus, set_enabled, Counter, Gauge, Histogram,
-    Sample, HISTOGRAM_BUCKETS,
+    render_prometheus, set_enabled, Counter, Sample,
 };

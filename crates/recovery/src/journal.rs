@@ -73,90 +73,30 @@ fn json_arr5(s: &str, key: &str) -> Option<[u64; 5]> {
 impl JournalCodec for SimStats {
     fn encode_journal(&self, out: &mut String) {
         use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "{{\"cycles\":{},\"instructions\":{},\"accesses\":{},\"l2_hits\":{},\"l2_misses\":{},\
-             \"l2_writebacks\":{},\"ctr_hits\":{},\"ctr_misses\":{},\"mac_hits\":{},\
-             \"mac_misses\":{},\"bmt_hits\":{},\"bmt_misses\":{},\"victim_hits\":{},",
-            self.cycles,
-            self.instructions,
-            self.accesses,
-            self.l2_hits,
-            self.l2_misses,
-            self.l2_writebacks,
-            self.ctr_hits,
-            self.ctr_misses,
-            self.mac_hits,
-            self.mac_misses,
-            self.bmt_hits,
-            self.bmt_misses,
-            self.victim_hits,
-        );
-        for (key, arr) in [("read", &self.traffic.read), ("write", &self.traffic.write)] {
-            let _ = write!(out, "\"{key}\":[");
-            for (i, v) in arr.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push_str("],");
+        out.push('{');
+        for (name, v) in self.counters() {
+            let _ = write!(out, "\"{name}\":{v},");
         }
-        let _ = write!(
-            out,
-            "\"readonly_fast_path\":{},\"chunk_mac_accesses\":{},\"stream_mispredictions\":{},\
-             \"readonly_mispredictions\":{},\"lat_sum\":{},\"lat_max\":{},\"dram_requests\":{},\
-             \"pool_migrations\":{},\"pool_spills\":{},\"pool_cpu_accesses\":{},\
-             \"pool_capacity_events\":{},\"link_bytes_to_gpu\":{},\"link_bytes_to_cpu\":{}}}",
-            self.readonly_fast_path,
-            self.chunk_mac_accesses,
-            self.stream_mispredictions,
-            self.readonly_mispredictions,
-            self.lat_sum,
-            self.lat_max,
-            self.dram_requests,
-            self.pool_migrations,
-            self.pool_spills,
-            self.pool_cpu_accesses,
-            self.pool_capacity_events,
-            self.link_bytes_to_gpu,
-            self.link_bytes_to_cpu,
-        );
+        for (key, arr) in [("read", &self.traffic.read), ("write", &self.traffic.write)] {
+            let [a, b, c, d, e] = arr;
+            let _ = write!(out, "\"{key}\":[{a},{b},{c},{d},{e}],");
+        }
+        out.pop();
+        out.push('}');
     }
 
     fn decode_journal(payload: &str) -> Option<Self> {
-        Some(SimStats {
-            cycles: json_u64(payload, "cycles")?,
-            instructions: json_u64(payload, "instructions")?,
-            accesses: json_u64(payload, "accesses")?,
-            l2_hits: json_u64(payload, "l2_hits")?,
-            l2_misses: json_u64(payload, "l2_misses")?,
-            l2_writebacks: json_u64(payload, "l2_writebacks")?,
-            ctr_hits: json_u64(payload, "ctr_hits")?,
-            ctr_misses: json_u64(payload, "ctr_misses")?,
-            mac_hits: json_u64(payload, "mac_hits")?,
-            mac_misses: json_u64(payload, "mac_misses")?,
-            bmt_hits: json_u64(payload, "bmt_hits")?,
-            bmt_misses: json_u64(payload, "bmt_misses")?,
-            victim_hits: json_u64(payload, "victim_hits")?,
+        let mut stats = SimStats {
             traffic: TrafficBytes {
                 read: json_arr5(payload, "read")?,
                 write: json_arr5(payload, "write")?,
             },
-            readonly_fast_path: json_u64(payload, "readonly_fast_path")?,
-            chunk_mac_accesses: json_u64(payload, "chunk_mac_accesses")?,
-            stream_mispredictions: json_u64(payload, "stream_mispredictions")?,
-            readonly_mispredictions: json_u64(payload, "readonly_mispredictions")?,
-            lat_sum: json_u64(payload, "lat_sum")?,
-            lat_max: json_u64(payload, "lat_max")?,
-            dram_requests: json_u64(payload, "dram_requests")?,
-            pool_migrations: json_u64(payload, "pool_migrations")?,
-            pool_spills: json_u64(payload, "pool_spills")?,
-            pool_cpu_accesses: json_u64(payload, "pool_cpu_accesses")?,
-            pool_capacity_events: json_u64(payload, "pool_capacity_events")?,
-            link_bytes_to_gpu: json_u64(payload, "link_bytes_to_gpu")?,
-            link_bytes_to_cpu: json_u64(payload, "link_bytes_to_cpu")?,
-        })
+            ..SimStats::default()
+        };
+        for (name, slot) in stats.counters_mut() {
+            *slot = json_u64(payload, name)?;
+        }
+        Some(stats)
     }
 }
 
@@ -609,39 +549,20 @@ mod tests {
         std::env::temp_dir().join(format!("shm-journal-{}-{name}.jsonl", std::process::id()))
     }
 
+    /// Every counter holds a value derived from its own name plus `k`, so a
+    /// decoder that mixes up two keys cannot round-trip.
     fn stats(k: u64) -> SimStats {
-        SimStats {
-            cycles: 100 + k,
-            instructions: 200 + k,
-            accesses: 300 + k,
-            l2_hits: 1 + k,
-            l2_misses: 2 + k,
-            l2_writebacks: 3 + k,
-            ctr_hits: 4 + k,
-            ctr_misses: 5 + k,
-            mac_hits: 6 + k,
-            mac_misses: 7 + k,
-            bmt_hits: 8 + k,
-            bmt_misses: 9 + k,
-            victim_hits: 10 + k,
+        let mut s = SimStats {
             traffic: TrafficBytes {
                 read: [k, k + 1, k + 2, k + 3, k + 4],
                 write: [k + 5, k + 6, k + 7, k + 8, k + 9],
             },
-            readonly_fast_path: 11 + k,
-            chunk_mac_accesses: 12 + k,
-            stream_mispredictions: 13 + k,
-            readonly_mispredictions: 14 + k,
-            lat_sum: 15 + k,
-            lat_max: 16 + k,
-            dram_requests: 17 + k,
-            pool_migrations: 18 + k,
-            pool_spills: 19 + k,
-            pool_cpu_accesses: 20 + k,
-            pool_capacity_events: 21 + k,
-            link_bytes_to_gpu: 22 + k,
-            link_bytes_to_cpu: 23 + k,
+            ..SimStats::default()
+        };
+        for (name, slot) in s.counters_mut() {
+            *slot = fnv1a64(name.as_bytes()).wrapping_add(k);
         }
+        s
     }
 
     #[test]
@@ -915,44 +836,71 @@ mod tests {
 
         /// Every field value, up to `u64::MAX`, survives the journal codec.
         fn sim_stats_codec_roundtrips_arbitrary_values(
-            v in proptest::collection::vec(any::<u64>(), 36..37),
+            v in proptest::collection::vec(
+                any::<u64>(),
+                10 + SimStats::COUNTER_NAMES.len()..11 + SimStats::COUNTER_NAMES.len(),
+            ),
         ) {
-            let s = SimStats {
-                cycles: v[0],
-                instructions: v[1],
-                accesses: v[2],
-                l2_hits: v[3],
-                l2_misses: v[4],
-                l2_writebacks: v[5],
-                ctr_hits: v[6],
-                ctr_misses: v[7],
-                mac_hits: v[8],
-                mac_misses: v[9],
-                bmt_hits: v[10],
-                bmt_misses: v[11],
-                victim_hits: v[12],
-                traffic: TrafficBytes {
-                    read: [v[13], v[14], v[15], v[16], v[17]],
-                    write: [v[18], v[19], v[20], v[21], v[22]],
-                },
-                readonly_fast_path: v[23],
-                chunk_mac_accesses: v[24],
-                stream_mispredictions: v[25],
-                readonly_mispredictions: v[26],
-                lat_sum: v[27],
-                lat_max: v[28],
-                dram_requests: v[29],
-                pool_migrations: v[30],
-                pool_spills: v[31],
-                pool_cpu_accesses: v[32],
-                pool_capacity_events: v[33],
-                link_bytes_to_gpu: v[34],
-                link_bytes_to_cpu: v[35],
-            };
+            let mut s = SimStats::default();
+            s.traffic.read.copy_from_slice(&v[..5]);
+            s.traffic.write.copy_from_slice(&v[5..10]);
+            for ((_, slot), &x) in s.counters_mut().into_iter().zip(&v[10..]) {
+                *slot = x;
+            }
             let mut enc = String::new();
             s.encode_journal(&mut enc);
             prop_assert_eq!(SimStats::decode_journal(&enc), Some(s));
         }
+    }
+
+    /// A `job` line written by the original hand-listed encoder (counters
+    /// interleaved with the traffic arrays); it holds `stats(41)`.
+    const ORIGINAL_ORDER_JOB_LINE: &str = concat!(
+        r#"{"type":"job","label":"fdtd2d under SHM","payload":{"cycles":15775293128760482543,"#,
+        r#""instructions":1213475539108690669,"accesses":5070544491938042692,"#,
+        r#""l2_hits":7225394419731126671,"l2_misses":1631052926824677505,"#,
+        r#""l2_writebacks":15263422190662524398,"ctr_hits":11342536772590106444,"#,
+        r#""ctr_misses":16738443711776126038,"mac_hits":4311428240582331380,"#,
+        r#""mac_misses":12520265857364450462,"bmt_hits":7849054938515025960,"#,
+        r#""bmt_misses":16169034821562625466,"victim_hits":15562122186822084365,"#,
+        r#""read":[41,42,43,44,45],"write":[46,47,48,49,50],"#,
+        r#""readonly_fast_path":4515120712695059253,"chunk_mac_accesses":16397620140592050730,"#,
+        r#""stream_mispredictions":518750079418186546,"#,
+        r#""readonly_mispredictions":11935133042472417524,"lat_sum":15244629957667724399,"#,
+        r#""lat_max":15320020173878700196,"dram_requests":745271428306954389,"#,
+        r#""pool_migrations":9618257348606023258,"pool_spills":710093982589552492,"#,
+        r#""pool_cpu_accesses":18425783220820700926,"pool_capacity_events":6260248777538312213,"#,
+        r#""link_bytes_to_gpu":6937384787039742871,"link_bytes_to_cpu":4593643810740838051}}"#,
+    );
+
+    #[test]
+    fn original_key_order_job_line_still_resumes() {
+        let path = tmp("original-order");
+        let meta = format!(
+            "{{\"type\":\"journal_meta\",\"version\":{JOURNAL_VERSION},\"config_hash\":\"{:016x}\"}}\n",
+            5u64
+        );
+        std::fs::write(&path, meta + ORIGINAL_ORDER_JOB_LINE + "\n").expect("write journal");
+        let j = JobJournal::open(&path, 5).expect("opens");
+        assert_eq!(j.get::<SimStats>("fdtd2d under SHM"), Some(stats(41)));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn every_table_counter_is_a_journal_key() {
+        let s = stats(7);
+        let mut enc = String::new();
+        s.encode_journal(&mut enc);
+        for name in SimStats::COUNTER_NAMES {
+            let key = format!("\"{name}\":");
+            assert_eq!(enc.matches(&key).count(), 1, "{name} in {enc}");
+        }
+        // The table's counters plus the two traffic arrays, nothing else.
+        assert_eq!(
+            enc.matches("\":").count(),
+            SimStats::COUNTER_NAMES.len() + 2
+        );
+        assert_eq!(SimStats::decode_journal(&enc), Some(s));
     }
 
     #[test]

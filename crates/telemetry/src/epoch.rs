@@ -10,66 +10,73 @@ use std::fmt::Write as _;
 
 use crate::event::json_escape;
 
-/// Per-L2-partition activity inside one epoch (one entry per memory
-/// partition that was touched; the vector grows on demand, so partitions
-/// beyond the highest recorded index are implicitly all-zero).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PartitionEpoch {
-    /// DRAM bytes read through this partition during the epoch.
-    pub read_bytes: u64,
-    /// DRAM bytes written through this partition during the epoch.
-    pub write_bytes: u64,
-    /// L2 hits in this partition's banks during the epoch.
-    pub l2_hits: u64,
-    /// L2 misses in this partition's banks during the epoch.
-    pub l2_misses: u64,
+gpu_types::counter_table! {
+    /// Per-L2-partition activity inside one epoch (one entry per memory
+    /// partition that was touched; the vector grows on demand, so partitions
+    /// beyond the highest recorded index are implicitly all-zero).
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct PartitionEpoch {}
+    counters {
+        /// DRAM bytes read through this partition during the epoch.
+        read_bytes,
+        /// DRAM bytes written through this partition during the epoch.
+        write_bytes,
+        /// L2 hits in this partition's banks during the epoch.
+        l2_hits,
+        /// L2 misses in this partition's banks during the epoch.
+        l2_misses,
+    }
 }
 
-/// Metrics accumulated over one epoch window of the simulation.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EpochSnapshot {
-    /// Zero-based epoch number.
-    pub index: u64,
-    /// First cycle covered by this epoch (inclusive).
-    pub start_cycle: u64,
-    /// Last cycle observed inside this epoch.
-    pub end_cycle: u64,
-    /// DRAM bytes recorded during the epoch, per traffic class.
-    pub traffic: TrafficBytes,
-    /// Instructions retired during the epoch (IPC proxy numerator).
-    pub instructions: u64,
-    /// Warp-level memory accesses issued.
-    pub accesses: u64,
-    /// L2 hits during the epoch.
-    pub l2_hits: u64,
-    /// L2 misses during the epoch.
-    pub l2_misses: u64,
-    /// DRAM requests completed during the epoch.
-    pub dram_requests: u64,
-    /// Counter-cache lines evicted during the epoch (victim-policy tuning).
-    pub ctr_victims: u64,
-    /// Sum of per-line hit counts over those evicted counter lines — the
-    /// hotness the MDC victim policy gave up by evicting them.
-    pub ctr_victim_uses: u64,
-    /// BMT authentication walks started during the epoch (counter misses).
-    pub bmt_walks: u64,
-    /// Sum of levels climbed over those walks (`sum / walks` = mean depth —
-    /// how far up the tree misses travel before hitting a cached node).
-    pub bmt_depth_sum: u64,
-    /// Deepest single walk observed during the epoch.
-    pub bmt_depth_max: u64,
-    /// Pages migrated CPU→GPU during the epoch (heterogeneous-pool runs).
-    pub pool_migrations: u64,
-    /// Pages spilled GPU→CPU during the epoch.
-    pub pool_spills: u64,
-    /// Data accesses served by the CPU-side pool during the epoch.
-    pub pool_cpu_accesses: u64,
-    /// Bytes the coherent link carried toward the GPU pool this epoch.
-    pub link_to_gpu_bytes: u64,
-    /// Bytes the coherent link carried toward the CPU pool this epoch.
-    pub link_to_cpu_bytes: u64,
-    /// Per-partition traffic and L2 hit/miss breakdown (index = partition).
-    pub partitions: Vec<PartitionEpoch>,
+gpu_types::counter_table! {
+    /// Metrics accumulated over one epoch window of the simulation.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct EpochSnapshot {
+        /// Zero-based epoch number.
+        pub index: u64,
+        /// First cycle covered by this epoch (inclusive).
+        pub start_cycle: u64,
+        /// Last cycle observed inside this epoch.
+        pub end_cycle: u64,
+        /// DRAM bytes recorded during the epoch, per traffic class.
+        pub traffic: TrafficBytes,
+        /// Per-partition traffic and L2 hit/miss breakdown (index = partition).
+        pub partitions: Vec<PartitionEpoch>,
+    }
+    counters {
+        /// Instructions retired during the epoch (IPC proxy numerator).
+        instructions,
+        /// Warp-level memory accesses issued.
+        accesses,
+        /// L2 hits during the epoch.
+        l2_hits,
+        /// L2 misses during the epoch.
+        l2_misses,
+        /// DRAM requests completed during the epoch.
+        dram_requests,
+        /// Counter-cache lines evicted during the epoch (victim-policy tuning).
+        ctr_victims,
+        /// Sum of per-line hit counts over those evicted counter lines — the
+        /// hotness the MDC victim policy gave up by evicting them.
+        ctr_victim_uses,
+        /// BMT authentication walks started during the epoch (counter misses).
+        bmt_walks,
+        /// Sum of levels climbed over those walks (`sum / walks` = mean depth —
+        /// how far up the tree misses travel before hitting a cached node).
+        bmt_depth_sum,
+        /// Deepest single walk observed during the epoch.
+        bmt_depth_max,
+        /// Pages migrated CPU→GPU during the epoch (heterogeneous-pool runs).
+        pool_migrations,
+        /// Pages spilled GPU→CPU during the epoch.
+        pool_spills,
+        /// Data accesses served by the CPU-side pool during the epoch.
+        pool_cpu_accesses,
+        /// Bytes the coherent link carried toward the GPU pool this epoch.
+        link_to_gpu_bytes,
+        /// Bytes the coherent link carried toward the CPU pool this epoch.
+        link_to_cpu_bytes,
+    }
 }
 
 impl EpochSnapshot {
@@ -118,29 +125,20 @@ impl EpochSnapshot {
             }
             out.push('}');
         }
-        let _ = write!(
-            out,
-            ",\"instructions\":{},\"accesses\":{},\"l2_hits\":{},\"l2_misses\":{},\"dram_requests\":{},\"ctr_victims\":{},\"ctr_victim_uses\":{},\"bmt_walks\":{},\"bmt_depth_sum\":{},\"bmt_depth_max\":{}",
-            self.instructions, self.accesses, self.l2_hits, self.l2_misses, self.dram_requests,
-            self.ctr_victims, self.ctr_victim_uses, self.bmt_walks, self.bmt_depth_sum,
-            self.bmt_depth_max
-        );
-        let _ = write!(
-            out,
-            ",\"pool_migrations\":{},\"pool_spills\":{},\"pool_cpu_accesses\":{},\"link_to_gpu_bytes\":{},\"link_to_cpu_bytes\":{}",
-            self.pool_migrations, self.pool_spills, self.pool_cpu_accesses,
-            self.link_to_gpu_bytes, self.link_to_cpu_bytes
-        );
+        for (name, v) in self.counters() {
+            let _ = write!(out, ",\"{name}\":{v}");
+        }
         out.push_str(",\"partitions\":[");
         for (i, p) in self.partitions.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"read_bytes\":{},\"write_bytes\":{},\"l2_hits\":{},\"l2_misses\":{}}}",
-                p.read_bytes, p.write_bytes, p.l2_hits, p.l2_misses
-            );
+            let mut sep = '{';
+            for (name, v) in p.counters() {
+                let _ = write!(out, "{sep}\"{name}\":{v}");
+                sep = ',';
+            }
+            out.push('}');
         }
         out.push_str("]}");
     }

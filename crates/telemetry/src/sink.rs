@@ -107,12 +107,9 @@ pub fn epoch_csv(t: &Telemetry) -> String {
             let _ = write!(out, ",{dir}_{}", class.label());
         }
     }
-    out.push_str(
-        ",instructions,accesses,l2_hits,l2_misses,dram_requests,ctr_victims,ctr_victim_uses,bmt_walks,bmt_depth_sum,bmt_depth_max",
-    );
-    out.push_str(
-        ",pool_migrations,pool_spills,pool_cpu_accesses,link_to_gpu_bytes,link_to_cpu_bytes",
-    );
+    for name in crate::EpochSnapshot::COUNTER_NAMES {
+        let _ = write!(out, ",{name}");
+    }
     let num_partitions = t
         .snapshots()
         .iter()
@@ -120,10 +117,9 @@ pub fn epoch_csv(t: &Telemetry) -> String {
         .max()
         .unwrap_or(0);
     for p in 0..num_partitions {
-        let _ = write!(
-            out,
-            ",p{p}_read_bytes,p{p}_write_bytes,p{p}_l2_hits,p{p}_l2_misses"
-        );
+        for name in crate::PartitionEpoch::COUNTER_NAMES {
+            let _ = write!(out, ",p{p}_{name}");
+        }
     }
     out.push('\n');
     let zero = crate::PartitionEpoch::default();
@@ -134,36 +130,14 @@ pub fn epoch_csv(t: &Telemetry) -> String {
                 let _ = write!(out, ",{v}");
             }
         }
-        let _ = write!(
-            out,
-            ",{},{},{},{},{},{},{},{},{},{}",
-            s.instructions,
-            s.accesses,
-            s.l2_hits,
-            s.l2_misses,
-            s.dram_requests,
-            s.ctr_victims,
-            s.ctr_victim_uses,
-            s.bmt_walks,
-            s.bmt_depth_sum,
-            s.bmt_depth_max
-        );
-        let _ = write!(
-            out,
-            ",{},{},{},{},{}",
-            s.pool_migrations,
-            s.pool_spills,
-            s.pool_cpu_accesses,
-            s.link_to_gpu_bytes,
-            s.link_to_cpu_bytes
-        );
+        for (_, v) in s.counters() {
+            let _ = write!(out, ",{v}");
+        }
         for p in 0..num_partitions {
             let part = s.partitions.get(p).unwrap_or(&zero);
-            let _ = write!(
-                out,
-                ",{},{},{},{}",
-                part.read_bytes, part.write_bytes, part.l2_hits, part.l2_misses
-            );
+            for (_, v) in part.counters() {
+                let _ = write!(out, ",{v}");
+            }
         }
         out.push('\n');
     }
@@ -483,5 +457,26 @@ mod tests {
         assert!(rows[0].contains(",128"), "first epoch row: {}", rows[0]);
         assert!(rows[0].starts_with("0,0,99"));
         assert!(rows[2].starts_with("2,200,250"));
+    }
+
+    #[test]
+    fn epoch_table_counters_are_json_keys_and_csv_columns_in_order() {
+        let p = populated();
+        let doc = p.with(|t| to_jsonl(t)).unwrap();
+        let epoch = doc
+            .lines()
+            .find(|l| l.contains("\"type\":\"epoch\""))
+            .expect("an epoch line");
+        let mut at = 0;
+        for name in crate::EpochSnapshot::COUNTER_NAMES {
+            let key = format!("\"{name}\":");
+            let found = epoch[at..].find(&key);
+            assert!(found.is_some(), "{name} missing or out of order in {epoch}");
+            at += found.unwrap() + key.len();
+        }
+        let csv = p.with(|t| epoch_csv(t)).unwrap();
+        let header = csv.lines().next().unwrap();
+        let columns = format!(",{},", crate::EpochSnapshot::COUNTER_NAMES.join(","));
+        assert!(header.contains(&columns), "{header}");
     }
 }

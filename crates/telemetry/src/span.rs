@@ -473,4 +473,66 @@ mod tests {
         assert!(problems.iter().any(|p| p.contains("duplicate")));
         assert!(problems.iter().any(|p| p.contains("ends before")));
     }
+
+    mod prop {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// `parse_json` never panics on arbitrary text, including a valid
+            /// span line with random bytes spliced in.
+            fn parse_json_never_panics(
+                noise in vec(any::<u8>(), 0..160),
+                at in 0usize..512,
+            ) {
+                let _ = SpanEvent::parse_json(&String::from_utf8_lossy(&noise));
+                let mut line = String::new();
+                sample().write_json(1, 2, &mut line);
+                let mut bytes = line.into_bytes();
+                let at = at.min(bytes.len());
+                bytes.splice(at..at, noise);
+                let _ = SpanEvent::parse_json(&String::from_utf8_lossy(&bytes));
+            }
+
+            /// Labels and workers built from arbitrary bytes — quotes,
+            /// backslashes, control characters, key-like text — survive
+            /// `write_json` → `parse_json`.
+            fn span_json_round_trips_arbitrary_strings(
+                label in vec(any::<u8>(), 0..40),
+                worker in vec(any::<u8>(), 0..16),
+                keyish in (0usize..5, 0usize..5),
+                nums in vec(any::<u64>(), 7..8),
+                root in any::<bool>(),
+            ) {
+                const KEYISH: [&str; 5] = [
+                    "",
+                    "\",\"cycles\":9",
+                    "\\\"}",
+                    "\"parent\":null,\"span\":1}",
+                    "\\u0041\n\t\r\u{1}",
+                ];
+                let text = |bytes: &[u8], extra: &str| {
+                    let s = String::from_utf8_lossy(bytes);
+                    let mid = s.char_indices().nth(s.chars().count() / 2).map_or(0, |(i, _)| i);
+                    format!("{}{extra}{}", &s[..mid], &s[mid..])
+                };
+                let span = SpanEvent {
+                    trace_id: nums[0],
+                    span_id: nums[1],
+                    parent: (!root).then_some(nums[2]),
+                    label: text(&label, KEYISH[keyish.0]),
+                    worker: text(&worker, KEYISH[keyish.1]),
+                    start_ms: nums[3],
+                    end_ms: nums[4],
+                    queue_ms: nums[5],
+                    run_ms: nums[6],
+                    cycles: nums[0] ^ nums[6],
+                };
+                let mut line = String::new();
+                span.write_json(nums[1], nums[2], &mut line);
+                prop_assert_eq!(SpanEvent::parse_json(&line), Some(span));
+            }
+        }
+    }
 }
