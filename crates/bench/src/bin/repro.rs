@@ -1,6 +1,6 @@
 //! `repro` — regenerates every table and figure of the SHM evaluation.
 //!
-//! Usage: `repro [fig5|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|table3_4|table7|table9|micro|sensitivity|hetero|bench|all] [--scale X] [--jobs N] [--telemetry-dir DIR] [--bench-out PATH] [--journal DIR [--resume] [--crash-after-jobs N]]`
+//! Usage: `repro [fig5|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|table3_4|table7|table9|micro|sensitivity|hetero|all] [--scale X] [--jobs N] [--telemetry-dir DIR] [--journal DIR [--resume] [--crash-after-jobs N]]`
 //!
 //! The `hetero` target renders the heterogeneous-pool placement sweep; it
 //! is deliberately *not* part of `all`, which stays byte-identical to a
@@ -20,12 +20,6 @@
 //! are reassembled in submission order, so the printed tables are
 //! byte-identical at any worker count.
 //!
-//! The `bench` target renders every figure across a (scale × jobs) grid —
-//! scales {0.05, 0.25} plus any explicit `--scale`, serial plus the
-//! resolved worker count — timing each point, verifying every parallel
-//! rendering matches its serial reference byte-for-byte, and writing the
-//! whole trajectory to `BENCH_throughput.json` (see `--bench-out`).
-//!
 //! With `--telemetry-dir DIR`, every figure target additionally captures a
 //! representative telemetry trace (first suite benchmark under SHM) as
 //! `DIR/<figure>.jsonl` — epoch bandwidth series for Fig. 14-style plots.
@@ -39,7 +33,6 @@ use std::collections::BTreeMap;
 use std::env;
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use gpu_mem_sim::{DesignPoint, EnergyModel, Simulator};
 use gpu_types::{GpuConfig, ShmConfig};
@@ -239,10 +232,8 @@ fn suite_rows(
 fn run(args: &[String]) -> Result<(), ReproError> {
     let mut what = "all".to_string();
     let mut scale = 0.5f64;
-    let mut scale_explicit = false;
     let mut jobs: Option<usize> = None;
     let mut telemetry_dir: Option<String> = None;
-    let mut bench_out = "BENCH_throughput.json".to_string();
     let mut journal_dir: Option<String> = None;
     let mut resume = false;
     let mut crash_after_jobs: Option<usize> = None;
@@ -280,7 +271,6 @@ fn run(args: &[String]) -> Result<(), ReproError> {
                     .get(i + 1)
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| ReproError::usage("--scale needs a number"))?;
-                scale_explicit = true;
                 i += 2;
             }
             "--jobs" => {
@@ -304,13 +294,6 @@ fn run(args: &[String]) -> Result<(), ReproError> {
                 );
                 i += 2;
             }
-            "--bench-out" => {
-                bench_out = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or_else(|| ReproError::usage("--bench-out needs a path"))?;
-                i += 2;
-            }
             other => {
                 what = other.to_string();
                 i += 1;
@@ -329,26 +312,22 @@ fn run(args: &[String]) -> Result<(), ReproError> {
         crash_after_jobs,
     });
 
-    if what == "bench" {
-        bench_mode(scale_explicit.then_some(scale), jobs, &bench_out)?;
-    } else {
-        match render_target(&what, scale, jobs, jctx.as_ref()) {
-            Ok(Some(text)) => print!("{text}"),
-            Ok(None) => return Err(ReproError::usage(format!("unknown target: {what}"))),
-            Err(FigError::Interrupted { journal, done }) => {
-                eprintln!(
-                    "interrupted: {} job(s) completed and journaled in {journal}",
-                    done.len()
-                );
-                for label in &done {
-                    eprintln!("  done {label}");
-                }
-                eprintln!("re-run with --resume to pick up where this left off");
-                return Err(ReproError::interrupted("figure sweep interrupted"));
+    match render_target(&what, scale, jobs, jctx.as_ref()) {
+        Ok(Some(text)) => print!("{text}"),
+        Ok(None) => return Err(ReproError::usage(format!("unknown target: {what}"))),
+        Err(FigError::Interrupted { journal, done }) => {
+            eprintln!(
+                "interrupted: {} job(s) completed and journaled in {journal}",
+                done.len()
+            );
+            for label in &done {
+                eprintln!("  done {label}");
             }
-            Err(FigError::Failed(e)) => {
-                return Err(ReproError::runtime(e, &Probe::disabled()));
-            }
+            eprintln!("re-run with --resume to pick up where this left off");
+            return Err(ReproError::interrupted("figure sweep interrupted"));
+        }
+        Err(FigError::Failed(e)) => {
+            return Err(ReproError::runtime(e, &Probe::disabled()));
         }
     }
 
@@ -370,8 +349,7 @@ fn run(args: &[String]) -> Result<(), ReproError> {
 
 /// Renders one named target (or `all`) to a string; `Ok(None)` for unknown
 /// targets, `Err` when a simulation job failed or a journaled sweep was
-/// interrupted.  Keeping figures as strings lets `bench` compare serial and
-/// parallel renderings byte-for-byte.
+/// interrupted.
 fn render_target(
     what: &str,
     scale: f64,
@@ -422,120 +400,6 @@ fn render_all(
     Ok(out)
 }
 
-/// Trace-scale grid every `bench` run covers (an explicit `--scale` adds a
-/// third point).  Small scale exposes fixed per-job overhead; the larger
-/// one is dominated by the simulation hot loop.
-const BENCH_SCALES: [f64; 2] = [0.05, 0.25];
-
-/// `bench` target: renders every figure across a (scale × jobs) grid,
-/// timing each point and verifying that every parallel rendering is
-/// byte-identical to the serial reference at the same scale.  The whole
-/// trajectory is recorded as JSON (see `--bench-out`).
-fn bench_mode(
-    explicit_scale: Option<f64>,
-    jobs: Option<usize>,
-    out_path: &str,
-) -> Result<(), ReproError> {
-    let workers = Executor::from_request(jobs).jobs();
-    let mut scales: Vec<f64> = BENCH_SCALES.to_vec();
-    if let Some(s) = explicit_scale {
-        if !scales.iter().any(|&x| (x - s).abs() < 1e-12) {
-            scales.push(s);
-        }
-    }
-    scales.sort_by(f64::total_cmp);
-    // The jobs axis: the serial reference, plus the resolved worker count
-    // when it actually is parallel.
-    let mut jobs_axis = vec![1usize];
-    if workers > 1 {
-        jobs_axis.push(workers);
-    }
-
-    let render_all = |scale: f64, jobs: usize| -> Result<String, ReproError> {
-        render_target("all", scale, Some(jobs), None)
-            .map_err(|e| match e {
-                FigError::Interrupted { journal, .. } => {
-                    ReproError::interrupted(format!("bench sweep interrupted (journal {journal})"))
-                }
-                FigError::Failed(msg) => ReproError::runtime(msg, &Probe::disabled()),
-            })?
-            .ok_or_else(|| ReproError::usage("render target \"all\" is unknown"))
-    };
-
-    let mut point_lines: Vec<String> = Vec::new();
-    let mut all_identical = true;
-    let mut first_divergence: Option<String> = None;
-    for &scale in &scales {
-        let t0 = Instant::now();
-        let reference = render_all(scale, 1)?;
-        let serial_wall = t0.elapsed().as_secs_f64();
-        for &j in &jobs_axis {
-            let (wall, identical) = if j == 1 {
-                // The serial rendering IS the reference for this scale.
-                (serial_wall, true)
-            } else {
-                let t1 = Instant::now();
-                let parallel = render_all(scale, j)?;
-                let wall = t1.elapsed().as_secs_f64();
-                let identical = parallel == reference;
-                if !identical && first_divergence.is_none() {
-                    first_divergence = Some(
-                        reference
-                            .lines()
-                            .zip(parallel.lines())
-                            .enumerate()
-                            .find(|(_, (a, b))| a != b)
-                            .map(|(n, (a, b))| {
-                                format!(
-                                    "scale={scale} jobs={j}: first divergence at line {}: \
-                                     {a:?} vs {b:?}",
-                                    n + 1
-                                )
-                            })
-                            .unwrap_or_else(|| {
-                                format!("scale={scale} jobs={j}: outputs differ in length")
-                            }),
-                    );
-                }
-                (wall, identical)
-            };
-            all_identical &= identical;
-            let speedup = if wall > 0.0 { serial_wall / wall } else { 0.0 };
-            point_lines.push(format!(
-                "    {{\"scale\": {scale}, \"jobs\": {j}, \"wall_s\": {wall:.3}, \
-                 \"serial_wall_s\": {serial_wall:.3}, \"speedup\": {speedup:.3}, \
-                 \"identical\": {identical}}}"
-            ));
-            println!(
-                "repro bench: scale={scale} jobs={j} wall={wall:.3}s \
-                 speedup={speedup:.2}x identical={identical}"
-            );
-        }
-    }
-
-    let json = format!(
-        "{{\n  \"schema\": \"shm-bench-trajectory/v1\",\n  \"host_parallelism\": {},\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        point_lines.join(",\n"),
-    );
-    std::fs::write(out_path, &json)
-        .map_err(|e| ReproError::usage(format!("write {out_path}: {e}")))?;
-    println!("throughput trajectory written to {out_path}");
-
-    if all_identical {
-        Ok(())
-    } else {
-        Err(ReproError::runtime(
-            format!(
-                "parallel output diverges from serial ({})",
-                first_divergence.unwrap_or_else(|| "divergence detail unavailable".to_string())
-            ),
-            &Probe::disabled(),
-        ))
-    }
-}
-
 /// Captures one representative telemetry trace for `figure` — the first
 /// suite benchmark under the SHM design — into `dir/<figure>.jsonl`.
 fn dump_figure_telemetry(dir: &str, figure: &str, scale: f64) -> Result<(), ReproError> {
@@ -564,7 +428,8 @@ fn dump_figure_telemetry(dir: &str, figure: &str, scale: f64) -> Result<(), Repr
 }
 
 /// Sensitivity analysis for the design choices DESIGN.md calls out:
-/// metadata-cache capacity, chunk size and read-only region size.
+/// metadata-cache capacity, chunk size and read-only region size on suite
+/// benchmarks, then the integrity-tree arity and MAC width on micro traces.
 fn sensitivity(scale: f64) -> String {
     use gpu_types::MdcConfig;
     let mut out = String::new();
@@ -653,6 +518,74 @@ fn sensitivity(scale: f64) -> String {
         }
         let _ = writeln!(out);
     }
+    out.push_str(&metadata_geometry_sensitivity());
+    out
+}
+
+/// Integrity-tree arity and MAC width under PSSM, on fixed micro traces (no
+/// `--scale`): a narrower tree is deeper, so counter misses walk more BMT
+/// nodes; a 4 B MAC halves MAC traffic but falls below the Section III-C
+/// birthday bound on 4 GB of protected memory.
+fn metadata_geometry_sensitivity() -> String {
+    use gpu_types::{MdcConfig, TrafficClass};
+    let pssm = |mdc: MdcConfig, trace: &gpu_mem_sim::ContextTrace| {
+        let cfg = GpuConfig {
+            mdc,
+            ..GpuConfig::default()
+        };
+        Simulator::new(&cfg, DesignPoint::Pssm).run(trace)
+    };
+    let mut out = String::new();
+
+    let random = shm_workloads::micro::pure_random_read(4 << 20, 20_000, 3);
+    let _ = writeln!(
+        out,
+        "\n== Sensitivity: tree arity (PSSM, random reads): BMT bytes =="
+    );
+    let _ = write!(out, "{:<12}", "trace");
+    for arity in [4u64, 8, 16] {
+        let _ = write!(out, "{:>10}", format!("{arity}-ary"));
+    }
+    let _ = write!(out, "\n{:<12}", "random");
+    for arity in [4u64, 8, 16] {
+        let mdc = MdcConfig {
+            tree_arity: arity,
+            ..MdcConfig::default()
+        };
+        let s = pssm(mdc, &random);
+        let _ = write!(out, "{:>10}", s.traffic.class_total(TrafficClass::Bmt));
+    }
+    let _ = writeln!(out);
+
+    let stream = shm_workloads::micro::pure_stream_read(12 * 16 * 4096);
+    let _ = writeln!(
+        out,
+        "\n== Sensitivity: MAC width (PSSM, streaming reads): MAC bytes + birthday-resistant =="
+    );
+    let _ = write!(out, "{:<12}", "metric");
+    for mac_bytes in [4u64, 8] {
+        let _ = write!(out, "{:>10}", format!("{mac_bytes} B"));
+    }
+    let (mut traffic, mut resists) = (String::new(), String::new());
+    for mac_bytes in [4u64, 8] {
+        let mdc = MdcConfig {
+            mac_bytes_per_block: mac_bytes,
+            ..MdcConfig::default()
+        };
+        let s = pssm(mdc, &stream);
+        let _ = write!(traffic, "{:>10}", s.traffic.class_total(TrafficClass::Mac));
+        let bits = (mac_bytes * 8) as u32;
+        let _ = write!(
+            resists,
+            "{:>10}",
+            shm_metadata::layout::mac_resists_birthday_attack(bits, 4 << 30)
+        );
+    }
+    let _ = writeln!(
+        out,
+        "\n{:<12}{traffic}\n{:<12}{resists}",
+        "MAC bytes", "birthday"
+    );
     out
 }
 
@@ -1073,4 +1006,46 @@ fn fig16(rows: &[BenchRow]) -> String {
         .collect();
     let _ = writeln!(out, "mean vL2 gain: {:+.4} normalized IPC", mean(&gain));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::metadata_geometry_sensitivity;
+
+    /// The numbers of the row labelled `label` in `section`.
+    fn row<'a>(section: &'a str, label: &str) -> Vec<&'a str> {
+        let line = section
+            .lines()
+            .find_map(|l| l.strip_prefix(label))
+            .unwrap_or_else(|| panic!("no {label} row in:\n{section}"));
+        line.split_whitespace().collect()
+    }
+
+    #[test]
+    fn sensitivity_covers_tree_arity_and_mac_width() {
+        let text = metadata_geometry_sensitivity();
+        let (arity, mac) = text
+            .split_once("\n\n== Sensitivity: MAC width")
+            .expect("MAC-width section follows the tree-arity section");
+        assert!(arity.contains("== Sensitivity: tree arity (PSSM, random reads): BMT bytes =="));
+
+        // A narrower tree is deeper: BMT traffic falls from 4- to 8- to 16-ary.
+        let bmt: Vec<u64> = row(arity, "random")
+            .iter()
+            .map(|v| v.parse().unwrap())
+            .collect();
+        assert_eq!(bmt.len(), 3, "{arity}");
+        assert!(bmt[0] > bmt[1] && bmt[1] > bmt[2], "BMT bytes {bmt:?}");
+
+        // Truncating the MAC to 4 B halves its traffic exactly, and only the
+        // 8 B MAC clears the birthday bound.
+        let macs: Vec<u64> = row(mac, "MAC bytes")
+            .iter()
+            .map(|v| v.parse().unwrap())
+            .collect();
+        assert_eq!(macs.len(), 2, "{mac}");
+        assert!(macs[0] > 0);
+        assert_eq!(2 * macs[0], macs[1], "MAC bytes {macs:?}");
+        assert_eq!(row(mac, "birthday"), ["false", "true"]);
+    }
 }

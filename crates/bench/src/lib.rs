@@ -2,9 +2,9 @@
 //!
 //! Each figure/table of the evaluation has a function here that runs the
 //! necessary (benchmark × design) simulations and returns the series the
-//! paper plots; the `repro` binary prints them, the Criterion benches time
-//! representative slices of them, and the integration tests assert the
-//! *shape* of the results (who wins, by roughly what factor).
+//! paper plots; the `repro` binary prints them, and the integration tests
+//! assert the *shape* of the results (who wins, by roughly what factor).
+//! `perfbench/` times them.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -20,7 +20,7 @@ pub use sim_exec::{CancelToken, Executor, SweepError};
 pub mod pool;
 
 /// Scale factor for event counts: 1.0 = full runs (repro binary),
-/// smaller for quick tests/benches.
+/// smaller for quick tests.
 pub fn scaled_suite(scale: f64) -> Vec<BenchmarkProfile> {
     BenchmarkProfile::suite()
         .into_iter()

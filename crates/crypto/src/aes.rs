@@ -206,7 +206,7 @@ impl Aes128 {
     }
 
     /// Encrypts one block on the hardware path, or `None` without AES-NI.
-    /// Exposed for cross-check tests and microbenches.
+    /// Exposed for cross-check tests.
     pub fn encrypt_block_aesni(&self, block: [u8; 16]) -> Option<[u8; 16]> {
         #[cfg(target_arch = "x86_64")]
         if aesni_available() {
@@ -298,8 +298,8 @@ mod aesni {
 
 /// Straightforward per-byte reference cipher (the pre-T-table
 /// implementation), kept to cross-check both optimized backends.  Public so
-/// microbenches and integration tests can compare against it; never used on
-/// the simulation hot path.
+/// integration tests can compare against it; never used on the simulation
+/// hot path.
 pub mod reference {
     use super::{gf_mul, RCON, SBOX};
 

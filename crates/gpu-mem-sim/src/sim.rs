@@ -24,8 +24,8 @@ enum Engine {
 
 /// Gate for the batched issue loop (on by default).  Turning it off makes
 /// [`Simulator`] process one event per scheduler pick, exactly the
-/// pre-batching loop — kept so tests and microbenches can check that both
-/// paths produce byte-identical results.
+/// pre-batching loop — kept so tests can check that both paths produce
+/// byte-identical results.
 static BATCH_ISSUE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
 
 /// Enables/disables the batched issue loop process-wide.
@@ -811,19 +811,32 @@ mod tests {
     #[test]
     fn batched_issue_matches_unbatched() {
         // The batched run loop must be invisible: same stats, access for
-        // access, as the one-event-per-pick scheduler.
-        let t = demo(8192);
-        for design in [
-            DesignPoint::Unprotected,
-            DesignPoint::Naive,
-            DesignPoint::Pssm,
-            DesignPoint::Shm,
-        ] {
-            set_batch_issue(false);
-            let slow = run(design, &t);
-            set_batch_issue(true);
-            let fast = run(design, &t);
-            assert_eq!(slow, fast, "divergence for {design:?}");
+        // access, as the one-event-per-pick scheduler.  Two scheduling
+        // extremes: interleaved warps (runs of one event) and a single warp
+        // streaming 16,384 reads (the next pick is always the same SM, so
+        // the whole kernel is one run).
+        let single_warp = {
+            let events = (0..16_384u64)
+                .map(|i| MemEvent::global(PhysAddr::new(i * 32), AccessKind::Read))
+                .collect();
+            let mut t = ContextTrace::new("single-warp-stream");
+            t.kernels
+                .push(crate::trace::KernelTrace::new("stream", events));
+            t
+        };
+        for t in [demo(8192), single_warp] {
+            for design in [
+                DesignPoint::Unprotected,
+                DesignPoint::Naive,
+                DesignPoint::Pssm,
+                DesignPoint::Shm,
+            ] {
+                set_batch_issue(false);
+                let slow = run(design, &t);
+                set_batch_issue(true);
+                let fast = run(design, &t);
+                assert_eq!(slow, fast, "divergence for {design:?} on {}", t.name);
+            }
         }
     }
 

@@ -2,11 +2,9 @@
 //!
 //! No HTTP library: the server reads the request head, matches the request
 //! line, and writes a fixed-format response with the rendered exposition.
-//! [`fetch_metrics`] is the matching raw-TcpStream scraper the endpoint's
-//! tests use.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread;
@@ -123,39 +121,41 @@ fn write_response(
     conn.flush()
 }
 
-/// Scrapes `GET /metrics` from `addr` and returns the response body.
-pub fn fetch_metrics(addr: &str) -> io::Result<String> {
-    let sock = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"))?;
-    let mut conn = TcpStream::connect_timeout(&sock, CONN_TIMEOUT)?;
-    conn.set_read_timeout(Some(CONN_TIMEOUT))?;
-    conn.set_write_timeout(Some(CONN_TIMEOUT))?;
-    conn.write_all(
-        format!("GET /metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").as_bytes(),
-    )?;
-    let mut response = String::new();
-    conn.read_to_string(&mut response)?;
-    let status = response.lines().next().unwrap_or("");
-    if !status.contains("200") {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unexpected status: {status}"),
-        ));
-    }
-    match response.split_once("\r\n\r\n") {
-        Some((_, body)) => Ok(body.to_string()),
-        None => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "malformed HTTP response",
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::ToSocketAddrs;
+
+    /// Scrapes `GET /metrics` from `addr` and returns the response body.
+    fn fetch_metrics(addr: &str) -> io::Result<String> {
+        let sock = addr
+            .to_socket_addrs()?
+            .next()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"))?;
+        let mut conn = TcpStream::connect_timeout(&sock, CONN_TIMEOUT)?;
+        conn.set_read_timeout(Some(CONN_TIMEOUT))?;
+        conn.set_write_timeout(Some(CONN_TIMEOUT))?;
+        conn.write_all(
+            format!("GET /metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
+                .as_bytes(),
+        )?;
+        let mut response = String::new();
+        conn.read_to_string(&mut response)?;
+        let status = response.lines().next().unwrap_or("");
+        if !status.contains("200") {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unexpected status: {status}"),
+            ));
+        }
+        match response.split_once("\r\n\r\n") {
+            Some((_, body)) => Ok(body.to_string()),
+            None => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "malformed HTTP response",
+            )),
+        }
+    }
 
     #[test]
     fn serves_metrics_and_rejects_other_paths() {

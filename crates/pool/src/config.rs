@@ -105,8 +105,6 @@ pub struct PoolsConfig {
     pub link_latency: u64,
     /// Per-direction link bandwidth in bytes per core cycle.
     pub link_bytes_per_cycle: f64,
-    /// Seed for the migration channel's key derivation.
-    pub seed: u64,
 }
 
 impl PoolsConfig {
@@ -120,7 +118,6 @@ impl PoolsConfig {
             hot_touches: 64,
             link_latency: 500,
             link_bytes_per_cycle: 16.0,
-            seed: 0x4845_5445_524f, // "HETERO"
         }
     }
 

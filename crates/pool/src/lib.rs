@@ -4,10 +4,12 @@
 //! this crate opens the axis it could not evaluate: a second, CPU-side DRAM
 //! pool (LPDDR-like latency/bandwidth) behind a coherent NVLink-C2C/RDMA-style
 //! interconnect, with *placement policies* deciding which pages live where and
-//! a *secure migration engine* that moves pages between pools only through
-//! MAC-verified, counter-rekeyed transfers built on `shm-metadata` +
+//! a *secure migration channel* that moves a page between pools as a
+//! MAC-verified, counter-rekeyed transfer built on `shm-metadata` +
 //! `shm-crypto`.  A page tampered in flight on the link surfaces as an
-//! [`shm_metadata::IntegrityViolation`] — never silent corruption.
+//! [`shm_metadata::IntegrityViolation`] — never silent corruption.  The
+//! channel is functional: the `inter_pool_tamper` fault campaign drives it,
+//! while [`PoolSim`] charges a migration link latency and link bytes only.
 //!
 //! The model is strictly additive: a simulator without a [`PoolSim`] attached
 //! takes exactly the single-pool code path and produces byte-identical output.

@@ -5,13 +5,14 @@
 //! access is offered to [`PoolSim::on_dram_access`], which decides whether
 //! the touched page is GPU-resident (no extra cost), CPU-resident (the
 //! access pays the LPDDR access plus the link round trip) or — under
-//! hot-page-migrate — hot enough to pull across the link through the secure
-//! migration channel. Everything is deterministic: placement is first-touch
-//! in access order, eviction picks the coldest page with the lowest address.
+//! hot-page-migrate — hot enough to pull across the link. A migration or
+//! spill is charged link latency and link bytes only; the secure migration
+//! protocol itself ([`crate::MigrationChannel`]) is functional, not timed.
+//! Everything is deterministic: placement is first-touch in access order,
+//! eviction picks the coldest page with the lowest address.
 
 use crate::config::{PlacementPolicy, PoolsConfig};
 use crate::link::{CoherentLink, LinkDir};
-use crate::migrate::MigrationChannel;
 use shm_dram::DramPartition;
 use std::collections::BTreeMap;
 
@@ -24,7 +25,7 @@ struct PageState {
 /// Running totals the simulator folds into `SimStats` after a run.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct PoolCounters {
-    /// Pages migrated CPU→GPU through the secure channel.
+    /// Pages migrated CPU→GPU.
     pub migrations: u64,
     /// Pages spilled GPU→CPU (evictions making room for a hot page).
     pub spills: u64,
@@ -55,7 +56,6 @@ pub struct PoolSim {
     cfg: PoolsConfig,
     link: CoherentLink,
     cpu_dram: DramPartition,
-    channel: MigrationChannel,
     pages: BTreeMap<u64, PageState>,
     gpu_bytes: u64,
     counters: PoolCounters,
@@ -71,7 +71,6 @@ impl PoolSim {
         Self {
             link: CoherentLink::new(cfg.link_latency, cfg.link_bytes_per_cycle),
             cpu_dram: DramPartition::new(cfg.cpu_dram_config()),
-            channel: MigrationChannel::new(cfg.seed, cfg.page_bytes),
             pages: BTreeMap::new(),
             gpu_bytes: 0,
             counters: PoolCounters::default(),
@@ -169,15 +168,12 @@ impl PoolSim {
         s
     }
 
-    /// Pulls `page` into the GPU pool through the secure channel, spilling
-    /// the coldest GPU page first when the pool is full.
+    /// Pulls `page` into the GPU pool over the link, spilling the coldest GPU
+    /// page first when the pool is full; each page pays one link transfer.
     fn migrate_in(&mut self, now: u64, page: u64, mut out: PoolOutcome) -> PoolOutcome {
         let mut done = now;
         if self.gpu_bytes + self.cfg.page_bytes > self.cfg.gpu_capacity {
             if let Some(victim) = self.coldest_gpu_page() {
-                self.channel
-                    .transfer_page(victim, None)
-                    .expect("untampered spill transfer verifies");
                 let t = self.link.transfer(now, self.cfg.page_bytes, LinkDir::ToCpu);
                 done = done.max(t);
                 let v = self.pages.get_mut(&victim).expect("victim exists");
@@ -188,9 +184,6 @@ impl PoolSim {
                 out.spilled = true;
             }
         }
-        self.channel
-            .transfer_page(page, None)
-            .expect("untampered migration transfer verifies");
         let t = self.link.transfer(now, self.cfg.page_bytes, LinkDir::ToGpu);
         done = done.max(t);
         let s = self.pages.get_mut(&page).expect("page exists");

@@ -16,7 +16,7 @@
 //! [`BenchmarkProfile::suite`] returns the Table-VII suite;
 //! [`BenchmarkProfile::generate`] turns a profile into a
 //! [`gpu_mem_sim::ContextTrace`].  [`micro`] holds microbenchmarks used by
-//! unit tests and ablation benches.
+//! unit tests and by `repro micro` / `repro sensitivity`.
 
 pub mod micro;
 pub mod profile;

@@ -1,4 +1,5 @@
-//! Microbenchmark traces for targeted tests and ablation benches.
+//! Microbenchmark traces for targeted tests and the `repro` micro and
+//! sensitivity targets.
 
 use gpu_mem_sim::{ContextTrace, KernelTrace};
 use gpu_types::{AccessKind, MemEvent, MemorySpace, PhysAddr, SplitMix64, Warp};

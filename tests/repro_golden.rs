@@ -18,9 +18,9 @@ const SCALE: &str = "0.05";
 /// FNV-1a 64 of `repro all --scale 0.05` stdout.
 const ALL_DIGEST: u64 = 0x9250_cc1e_e870_889d;
 
-/// FNV-1a 64 of `repro all --scale 0.25` stdout: the larger pinned run,
-/// too slow for a debug test build, so it is `#[ignore]`d and run with
-/// `cargo test --release --test repro_golden -- --ignored`.
+/// FNV-1a 64 of `repro all --scale 0.25` stdout at any `--jobs`: the larger
+/// pinned run, too slow for a debug test build, so it is `#[ignore]`d and
+/// run with `cargo test --release --test repro_golden -- --ignored`.
 const ALL_DIGEST_QUARTER: u64 = 0x406f_0b36_9931_954b;
 
 /// Targets that `all` renders from its shared sweeps.
@@ -28,12 +28,12 @@ const SHARED_TARGETS: [&str; 8] = [
     "table7", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 ];
 
-/// Runs `repro <target> --scale <scale> --jobs 2` and returns its stdout.
-/// `SHM_*` knobs are cleared so the caller's environment cannot shape the
-/// simulated system.
-fn repro_at(target: &str, scale: &str) -> String {
+/// Runs `repro <target> --scale <scale> --jobs <jobs>` and returns its
+/// stdout.  `SHM_*` knobs are cleared so the caller's environment cannot
+/// shape the simulated system.
+fn repro_at(target: &str, scale: &str, jobs: &str) -> String {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
-    cmd.args([target, "--scale", scale, "--jobs", "2"]);
+    cmd.args([target, "--scale", scale, "--jobs", jobs]);
     for (key, _) in std::env::vars_os() {
         if key.to_string_lossy().starts_with("SHM_") {
             cmd.env_remove(key);
@@ -42,16 +42,16 @@ fn repro_at(target: &str, scale: &str) -> String {
     let out = cmd.output().expect("spawn repro");
     assert!(
         out.status.success(),
-        "repro {target} failed: {}\n{}",
+        "repro {target} --jobs {jobs} failed: {}\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("repro prints UTF-8")
 }
 
-/// [`repro_at`] at the pinned [`SCALE`].
+/// [`repro_at`] at the pinned [`SCALE`] on two workers.
 fn repro(target: &str) -> String {
-    repro_at(target, SCALE)
+    repro_at(target, SCALE, "2")
 }
 
 /// `all` cut at its `== … ==` headings; each piece keeps the blank line
@@ -84,14 +84,18 @@ fn repro_all_output_is_pinned_and_matches_every_single_target() {
     }
 }
 
+/// The serial run and a four-worker run print the same pinned bytes: the
+/// work-stealing pool reassembles results in submission order.
 #[test]
 #[ignore = "slow in a debug build; run with --release -- --ignored"]
 fn repro_all_at_quarter_scale_is_pinned() {
-    let all = repro_at("all", "0.25");
-    assert_eq!(
-        fnv1a64(all.as_bytes()),
-        ALL_DIGEST_QUARTER,
-        "repro all --scale 0.25 output changed (digest {:016x})",
-        fnv1a64(all.as_bytes())
-    );
+    for jobs in ["1", "4"] {
+        let all = repro_at("all", "0.25", jobs);
+        assert_eq!(
+            fnv1a64(all.as_bytes()),
+            ALL_DIGEST_QUARTER,
+            "repro all --scale 0.25 --jobs {jobs} output changed (digest {:016x})",
+            fnv1a64(all.as_bytes())
+        );
+    }
 }
